@@ -5,13 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 use vm1_core::problem::{Overrides, WindowProblem};
-use vm1_core::solver::{dfs_solve, greedy_solve, milp_window_solve};
+use vm1_core::solver::{dfs_solve, greedy_solve, milp_window_solve, solve_window_with};
 use vm1_core::window::{Window, WindowGrid};
 use vm1_core::Vm1Config;
 use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
 use vm1_netlist::Design;
+use vm1_obs::{Counter, MetricsHandle, Telemetry};
 use vm1_place::{place, PlaceConfig, RowMap};
 use vm1_route::{route, RouterConfig};
 use vm1_tech::{CellArch, Library};
@@ -39,6 +41,27 @@ fn window_problem(d: &Design, cells: usize) -> WindowProblem {
         .take(cells)
         .collect();
     WindowProblem::build(d, &rm, win, &movable, 3, 1, false, &cfg, &Overrides::new())
+}
+
+/// The first batch of the optimizer's first pass over `d`: the first
+/// window of the default partition holding `max_cells_per_milp` movable
+/// cells, with the default search ranges.
+fn optimizer_batch(d: &Design, cfg: &Vm1Config) -> WindowProblem {
+    let u = cfg.sequence[0];
+    let tech = d.library().tech();
+    let bw = (u.bw_um * 1000.0 / tech.site_width.nm() as f64).round() as i64;
+    let bh = ((u.bh_um * 1000.0 / tech.row_height.nm() as f64).round() as i64).max(1);
+    let rm = RowMap::build(d);
+    let ov = Overrides::new();
+    let grid = WindowGrid::partition(d, 0, 0, bw, bh);
+    let (win, mut movable) = grid
+        .windows
+        .iter()
+        .map(|w| (w, WindowProblem::movable_in_window(d, &rm, w, &ov)))
+        .find(|(_, m)| m.len() >= cfg.max_cells_per_milp)
+        .expect("design has a full window");
+    movable.truncate(cfg.max_cells_per_milp);
+    WindowProblem::build(d, &rm, *win, &movable, u.lx, u.ly, false, cfg, &ov)
 }
 
 fn bench_hpwl(c: &mut Criterion) {
@@ -96,6 +119,20 @@ fn bench_solver_ablation(c: &mut Criterion) {
         b.iter(|| black_box(milp_window_solve(&prob, &cfg)))
     });
     g.bench_function("greedy", |b| b.iter(|| black_box(greedy_solve(&prob, 4))));
+    // A batch the optimizer itself would solve, whose search stops at the
+    // node cap: one iteration is the DFS kernel's time for `max_nodes`
+    // nodes, a nodes/s figure independent of the end-to-end benchmark.
+    let capped = optimizer_batch(&d, &cfg);
+    let sink = Arc::new(Telemetry::new());
+    let _ = solve_window_with(&capped, &cfg, &MetricsHandle::of(sink.clone()));
+    assert_eq!(
+        sink.counter(Counter::DfsNodeLimitHits),
+        1,
+        "window must hit the cap"
+    );
+    g.bench_function("dfs_capped", |b| {
+        b.iter(|| black_box(dfs_solve(&capped, cfg.max_nodes)))
+    });
     g.finish();
 }
 

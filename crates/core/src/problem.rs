@@ -609,8 +609,11 @@ impl WindowProblem {
     /// Bonus contributed by one pair under `assign` (0 when not aligned).
     #[must_use]
     pub fn pair_bonus(&self, pair: &LocalPair, assign: &[usize]) -> f64 {
-        let a = self.end_geo(&pair.a, assign);
-        let b = self.end_geo(&pair.b, assign);
+        self.geo_bonus(self.end_geo(&pair.a, assign), self.end_geo(&pair.b, assign))
+    }
+
+    /// Bonus of two endpoints at pin geometries `a` and `b`.
+    pub(crate) fn geo_bonus(&self, a: PinGeo, b: PinGeo) -> f64 {
         if (a.y - b.y).abs() > self.gamma_span {
             return 0.0;
         }

@@ -9,8 +9,9 @@
 //! bounds.
 
 use crate::milp::{build_milp, extract_assignment, warm_start};
-use crate::problem::{End, WindowProblem};
+use crate::problem::{End, PinGeo, WindowProblem};
 use crate::{SolverKind, Vm1Config};
+use std::ops::Range;
 use vm1_milp::{solve as milp_solve, solve_certified, SolveParams};
 use vm1_obs::{Counter, MetricsHandle, Stage};
 
@@ -25,7 +26,9 @@ pub fn solve_window(prob: &WindowProblem, cfg: &Vm1Config) -> Vec<usize> {
 
 /// [`solve_window`] with a metrics sink: records solver-engine counters
 /// ([`Counter::DfsNodes`], [`Counter::GreedyPasses`], the MILP family) and
-/// the MILP build/solve stage timers.
+/// the MILP build/solve stage timers. A DFS solve that stops at
+/// `cfg.max_nodes` is not exact; it also counts under
+/// [`Counter::DfsNodeLimitHits`] and [`Counter::DfsNodesCapped`].
 #[must_use]
 pub fn solve_window_with(
     prob: &WindowProblem,
@@ -39,6 +42,12 @@ pub fn solve_window_with(
         SolverKind::Dfs => {
             let (assign, nodes) = dfs_solve_counted(prob, cfg.max_nodes);
             metrics.add(Counter::DfsNodes, nodes as u64);
+            // The search stops as soon as the count reaches the cap, so
+            // only a capped solve ends at or above it.
+            if nodes >= cfg.max_nodes {
+                metrics.incr(Counter::DfsNodeLimitHits);
+                metrics.add(Counter::DfsNodesCapped, nodes as u64);
+            }
             assign
         }
         SolverKind::Milp => milp_window_solve_with(prob, cfg, metrics),
@@ -130,8 +139,232 @@ pub fn milp_window_solve_with(
 // Exact DFS branch-and-bound
 // ---------------------------------------------------------------------------
 
+/// A net's bounding box in nm; [`BBox::EMPTY`] while the net has no
+/// placed pin.
+#[derive(Clone, Copy)]
+struct BBox {
+    x0: i64,
+    y0: i64,
+    x1: i64,
+    y1: i64,
+}
+
+impl BBox {
+    const EMPTY: BBox = BBox {
+        x0: i64::MAX,
+        y0: i64::MAX,
+        x1: i64::MIN,
+        y1: i64::MIN,
+    };
+
+    fn of(bb: Option<(i64, i64, i64, i64)>) -> BBox {
+        bb.map_or(BBox::EMPTY, |(x0, y0, x1, y1)| BBox { x0, y0, x1, y1 })
+    }
+
+    /// The box grown by the pins `slots` of one cell placed with pin
+    /// geometry `geo` (indexed by slot).
+    fn grow(mut self, geo: &[PinGeo], slots: &[usize]) -> BBox {
+        for &slot in slots {
+            let g = geo[slot];
+            self.x0 = self.x0.min(g.x);
+            self.y0 = self.y0.min(g.y);
+            self.x1 = self.x1.max(g.x);
+            self.y1 = self.y1.max(g.y);
+        }
+        self
+    }
+
+    fn weighted_hpwl(self, weight: f64) -> f64 {
+        if self.x0 > self.x1 {
+            0.0
+        } else {
+            weight * ((self.x1 - self.x0) + (self.y1 - self.y0)) as f64
+        }
+    }
+}
+
+/// A net touching a cell, with that cell's pin slots on it.
+struct NetInc {
+    net: usize,
+    weight: f64,
+    /// Range of [`Incidence::slots`], in the net's pin order.
+    slots: Range<usize>,
+}
+
+/// Per-solve incidence lists and pin geometry in flat form, so the search
+/// never rescans a net's pin list, clones a per-cell list or chases the
+/// nested [`WindowProblem::pin_geo`].
+struct Incidence {
+    /// Per cell: its range of `nets`.
+    cell_nets: Vec<Range<usize>>,
+    /// Per cell, the nets it touches in ascending order.
+    nets: Vec<NetInc>,
+    slots: Vec<usize>,
+    /// Per cell: its range of `pairs`.
+    cell_pairs: Vec<Range<usize>>,
+    /// Pair indices per cell, ascending; a pair with both ends on the
+    /// same cell appears twice.
+    pairs: Vec<usize>,
+    /// Per cell: offset of its candidate 0 in `geo` and its slot count.
+    geo_base: Vec<(usize, usize)>,
+    /// [`WindowProblem::pin_geo`] flattened.
+    geo: Vec<PinGeo>,
+}
+
+impl Incidence {
+    fn build(prob: &WindowProblem) -> Incidence {
+        let n = prob.cells.len();
+        let mut per_cell: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n];
+        for (ni, net) in prob.nets.iter().enumerate() {
+            for &(cell, slot) in &net.movable {
+                match per_cell[cell].last_mut() {
+                    Some((last, slots)) if *last == ni => slots.push(slot),
+                    _ => per_cell[cell].push((ni, vec![slot])),
+                }
+            }
+        }
+        let mut inc = Incidence {
+            cell_nets: Vec::with_capacity(n),
+            nets: Vec::new(),
+            slots: Vec::new(),
+            cell_pairs: Vec::with_capacity(n),
+            pairs: Vec::new(),
+            geo_base: Vec::with_capacity(n),
+            geo: Vec::new(),
+        };
+        for nets in per_cell {
+            let start = inc.nets.len();
+            for (net, slots) in nets {
+                let s0 = inc.slots.len();
+                inc.slots.extend(slots);
+                inc.nets.push(NetInc {
+                    net,
+                    weight: prob.nets[net].weight,
+                    slots: s0..inc.slots.len(),
+                });
+            }
+            inc.cell_nets.push(start..inc.nets.len());
+        }
+        let mut per_cell: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (pi, pair) in prob.pairs.iter().enumerate() {
+            for e in [&pair.a, &pair.b] {
+                if let End::Movable { cell, .. } = *e {
+                    per_cell[cell].push(pi);
+                }
+            }
+        }
+        for pairs in per_cell {
+            let start = inc.pairs.len();
+            inc.pairs.extend(pairs);
+            inc.cell_pairs.push(start..inc.pairs.len());
+        }
+        for per_cand in &prob.pin_geo {
+            let stride = per_cand.first().map_or(0, Vec::len);
+            inc.geo_base.push((inc.geo.len(), stride));
+            inc.geo.extend(per_cand.iter().flatten());
+        }
+        inc
+    }
+
+    /// Pin geometry of `cell` at candidate `k`, indexed by slot.
+    fn geo(&self, cell: usize, k: usize) -> &[PinGeo] {
+        let (base, stride) = self.geo_base[cell];
+        &self.geo[base + k * stride..base + (k + 1) * stride]
+    }
+
+    /// [`WindowProblem::pair_bonus`] of pair `pi` with `cell` at
+    /// candidate `k` and every other cell at `assign`.
+    fn pair_bonus(
+        &self,
+        prob: &WindowProblem,
+        pi: usize,
+        assign: &[usize],
+        cell: usize,
+        k: usize,
+    ) -> f64 {
+        let pair = &prob.pairs[pi];
+        let geo = |e: &End| match *e {
+            End::Fixed(g) => g,
+            End::Movable { cell: c, slot } => {
+                self.geo(c, if c == cell { k } else { assign[c] })[slot]
+            }
+        };
+        prob.geo_bonus(geo(&pair.a), geo(&pair.b))
+    }
+}
+
+/// Per-row occupancy bitmask of the cells placed on the current search
+/// path: bit `s` of row `r` is site `site0 + s` of row `row0 + r`, and a
+/// row spans `words` 64-bit words. Placed spans never overlap, so set and
+/// clear are exact inverses, and a span clashes with the placed cells iff
+/// it shares a bit with them (cell widths are at least one site).
+struct RowBits {
+    row0: i64,
+    site0: i64,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl RowBits {
+    /// Empty occupancy over the rows `row0..row1` and sites
+    /// `site0..site1`.
+    fn new(row0: i64, row1: i64, site0: i64, site1: i64) -> RowBits {
+        let words = ((site1 - site0).max(0) as usize).div_ceil(64);
+        RowBits {
+            row0,
+            site0,
+            words,
+            bits: vec![0; (row1 - row0).max(0) as usize * words],
+        }
+    }
+
+    /// Empty occupancy covering every candidate span of `prob`.
+    fn covering(prob: &WindowProblem) -> RowBits {
+        let spans = prob
+            .cells
+            .iter()
+            .flat_map(|c| c.cands.iter().map(|k| (k.row, k.site, k.site + c.width)));
+        let bounds = spans.fold(None, |acc, (r, a, b)| {
+            let (r0, r1, s0, s1) = acc.unwrap_or((r, r + 1, a, b));
+            Some((r0.min(r), r1.max(r + 1), s0.min(a), s1.max(b)))
+        });
+        let (r0, r1, s0, s1) = bounds.unwrap_or_default();
+        RowBits::new(r0, r1, s0, s1)
+    }
+
+    /// `(word index, mask)` of each word the sites `s0..s1` of `row`
+    /// cover.
+    fn words(&self, row: i64, s0: i64, s1: i64) -> impl Iterator<Item = (usize, u64)> {
+        let base = (row - self.row0) as usize * self.words;
+        let b0 = (s0 - self.site0) as usize;
+        let b1 = (s1 - self.site0) as usize;
+        (b0 / 64..b1.div_ceil(64)).map(move |w| {
+            let lo = b0.max(w * 64) - w * 64;
+            let hi = b1.min(w * 64 + 64) - w * 64;
+            (base + w, (u64::MAX >> (64 - (hi - lo))) << lo)
+        })
+    }
+
+    fn clashes(&self, row: i64, s0: i64, s1: i64) -> bool {
+        self.words(row, s0, s1).any(|(w, m)| self.bits[w] & m != 0)
+    }
+
+    fn set(&mut self, row: i64, s0: i64, s1: i64) {
+        for (w, m) in self.words(row, s0, s1) {
+            self.bits[w] |= m;
+        }
+    }
+
+    fn clear(&mut self, row: i64, s0: i64, s1: i64) {
+        for (w, m) in self.words(row, s0, s1) {
+            self.bits[w] &= !m;
+        }
+    }
+}
+
 struct DfsState<'a> {
     prob: &'a WindowProblem,
+    inc: Incidence,
     /// Cell order (most constrained first).
     order: Vec<usize>,
     assign: Vec<usize>,
@@ -146,13 +379,17 @@ struct DfsState<'a> {
     /// Bonus collected from decided pairs.
     done_bonus: f64,
     /// Per net: current bbox (fixed ∪ assigned pins) and its HPWL.
-    net_bb: Vec<Option<(i64, i64, i64, i64)>>,
+    net_bb: Vec<BBox>,
     hpwl_partial: f64,
-    /// Which pairs/nets touch each cell.
-    cell_pairs: Vec<Vec<usize>>,
-    cell_nets: Vec<Vec<usize>>,
-    /// Spans of assigned cells for legality.
-    spans: Vec<Option<(i64, i64, i64)>>,
+    /// Sites taken by the assigned cells, for legality.
+    occupied: RowBits,
+    /// Per depth: the candidate order of the cell expanded there.
+    cand_bufs: Vec<Vec<(f64, usize)>>,
+    /// Undo stacks shared by all depths: `(net, old bbox, old − new
+    /// weighted HPWL)` and `(pair, bonus collected)`. Each expansion pops
+    /// back to the length it found.
+    undo_bb: Vec<(usize, BBox, f64)>,
+    undo_pairs: Vec<(usize, f64)>,
 }
 
 /// Exact branch-and-bound over candidate assignments.
@@ -163,44 +400,29 @@ pub fn dfs_solve(prob: &WindowProblem, max_nodes: usize) -> Vec<usize> {
 
 /// [`dfs_solve`] also returning the number of search nodes explored.
 fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usize) {
-    let n = prob.cells.len();
     let cur = prob.current_assign();
-
-    // Cell → pairs / nets indices.
-    let mut cell_pairs = vec![Vec::new(); n];
+    let inc = Incidence::build(prob);
     let mut pair_open = vec![0u8; prob.pairs.len()];
-    for (pi, pair) in prob.pairs.iter().enumerate() {
-        for e in [&pair.a, &pair.b] {
-            if let End::Movable { cell, .. } = *e {
-                cell_pairs[cell].push(pi);
-                pair_open[pi] += 1;
-            }
-        }
-    }
-    let mut cell_nets = vec![Vec::new(); n];
-    for (ni, net) in prob.nets.iter().enumerate() {
-        for &(cell, _) in &net.movable {
-            if !cell_nets[cell].contains(&ni) {
-                cell_nets[cell].push(ni);
-            }
-        }
+    for &pi in &inc.pairs {
+        pair_open[pi] += 1;
     }
 
     let open_bonus: f64 = prob.pairs.iter().map(|p| p.max_bonus).sum();
-    let net_bb: Vec<Option<(i64, i64, i64, i64)>> = prob.nets.iter().map(|nt| nt.fixed).collect();
+    let net_bb: Vec<BBox> = prob.nets.iter().map(|nt| BBox::of(nt.fixed)).collect();
     let hpwl_partial: f64 = prob
         .nets
         .iter()
-        .map(|nt| {
-            nt.fixed.map_or(0.0, |(x0, y0, x1, y1)| {
-                nt.weight * ((x1 - x0) + (y1 - y0)) as f64
-            })
-        })
+        .zip(&net_bb)
+        .map(|(nt, bb)| bb.weighted_hpwl(nt.weight))
         .sum();
 
     // Order: most constrained (fewest candidates) first.
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<usize> = (0..prob.cells.len()).collect();
     order.sort_by_key(|&c| prob.cells[c].cands.len());
+    let cand_bufs = order
+        .iter()
+        .map(|&c| Vec::with_capacity(prob.cells[c].cands.len()))
+        .collect();
 
     let mut st = DfsState {
         prob,
@@ -215,15 +437,18 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
         done_bonus: 0.0,
         net_bb,
         hpwl_partial,
-        cell_pairs,
-        cell_nets,
-        spans: vec![None; n],
+        occupied: RowBits::covering(prob),
+        cand_bufs,
+        undo_bb: Vec::with_capacity(inc.nets.len()),
+        undo_pairs: Vec::with_capacity(inc.pairs.len()),
+        inc,
     };
     dfs_recurse(&mut st, 0);
-    let nodes = st.nodes;
-    (st.best_assign, nodes)
+    (st.best_assign, st.nodes)
 }
 
+/// One expansion of the search. Allocation-free: every list it walks is
+/// precomputed in [`Incidence`], and its buffers live in [`DfsState`].
 fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
     if st.nodes >= st.max_nodes {
         return;
@@ -232,76 +457,55 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
         let obj = st.hpwl_partial - st.done_bonus;
         if obj < st.best_obj - 1e-9 {
             st.best_obj = obj;
-            st.best_assign = st.assign.clone();
+            st.best_assign.copy_from_slice(&st.assign);
         }
         return;
     }
+    let prob = st.prob;
     let cell = st.order[depth];
-    let n_cands = st.prob.cells[cell].cands.len();
+    let mc = &prob.cells[cell];
 
     // Candidate order: cheapest local cost first for early incumbents.
-    let mut cand_order: Vec<(f64, usize)> = (0..n_cands)
-        .map(|k| (local_score(st, cell, k), k))
-        .collect();
+    let mut cand_order = std::mem::take(&mut st.cand_bufs[depth]);
+    cand_order.clear();
+    cand_order.extend((0..mc.cands.len()).map(|k| (local_score(st, cell, k), k)));
     cand_order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    for (_, k) in cand_order {
+    for &(_, k) in &cand_order {
         st.nodes += 1;
         if st.nodes >= st.max_nodes {
-            return;
+            break;
         }
-        let cand = st.prob.cells[cell].cands[k];
+        let cand = mc.cands[k];
         // Legality against assigned cells.
-        let span = (cand.row, cand.site, cand.site + st.prob.cells[cell].width);
-        let clash = st
-            .spans
-            .iter()
-            .flatten()
-            .any(|&(r, s0, s1)| r == span.0 && s1 > span.1 && span.2 > s0);
-        if clash {
+        let (row, s0, s1) = (cand.row, cand.site, cand.site + mc.width);
+        if st.occupied.clashes(row, s0, s1) {
             continue;
         }
 
         // ---- apply -----------------------------------------------------
         st.assign[cell] = k;
-        st.spans[cell] = Some(span);
-        #[allow(clippy::type_complexity)] // (net, old bbox, old weighted HPWL)
-        let mut undo_bb: Vec<(usize, Option<(i64, i64, i64, i64)>, f64)> = Vec::new();
-        for &ni in &st.cell_nets[cell].clone() {
-            let net = &st.prob.nets[ni];
-            let old = st.net_bb[ni];
-            let old_hp = old.map_or(0.0, |(x0, y0, x1, y1)| {
-                net.weight * ((x1 - x0) + (y1 - y0)) as f64
-            });
-            // Grow by every pin of this cell on this net.
-            let mut bb = old;
-            for &(c2, slot) in &net.movable {
-                if c2 == cell {
-                    let g = st.prob.pin_geo[cell][k][slot];
-                    bb = Some(match bb {
-                        None => (g.x, g.y, g.x, g.y),
-                        Some((x0, y0, x1, y1)) => {
-                            (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y))
-                        }
-                    });
-                }
-            }
-            let new_hp = bb.map_or(0.0, |(x0, y0, x1, y1)| {
-                net.weight * ((x1 - x0) + (y1 - y0)) as f64
-            });
-            st.net_bb[ni] = bb;
+        st.occupied.set(row, s0, s1);
+        let geo = st.inc.geo(cell, k);
+        let bb_base = st.undo_bb.len();
+        for ni in &st.inc.nets[st.inc.cell_nets[cell].clone()] {
+            let old = st.net_bb[ni.net];
+            let old_hp = old.weighted_hpwl(ni.weight);
+            let bb = old.grow(geo, &st.inc.slots[ni.slots.clone()]);
+            let new_hp = bb.weighted_hpwl(ni.weight);
+            st.net_bb[ni.net] = bb;
             st.hpwl_partial += new_hp - old_hp;
-            undo_bb.push((ni, old, old_hp - new_hp));
+            st.undo_bb.push((ni.net, old, old_hp - new_hp));
         }
-        let mut undo_pairs: Vec<(usize, f64)> = Vec::new();
-        for &pi in &st.cell_pairs[cell].clone() {
+        let pairs_base = st.undo_pairs.len();
+        for &pi in &st.inc.pairs[st.inc.cell_pairs[cell].clone()] {
             st.pair_open[pi] -= 1;
             if st.pair_open[pi] == 0 {
                 // Pair decided: replace potential with actual bonus.
-                let actual = st.prob.pair_bonus(&st.prob.pairs[pi], &st.assign);
-                st.open_bonus -= st.prob.pairs[pi].max_bonus;
+                let actual = st.inc.pair_bonus(prob, pi, &st.assign, cell, k);
+                st.open_bonus -= prob.pairs[pi].max_bonus;
                 st.done_bonus += actual;
-                undo_pairs.push((pi, actual));
+                st.undo_pairs.push((pi, actual));
             }
         }
 
@@ -312,48 +516,36 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
         }
 
         // ---- undo ---------------------------------------------------------
-        for (pi, actual) in undo_pairs.into_iter().rev() {
+        for (pi, actual) in st.undo_pairs.drain(pairs_base..).rev() {
             st.done_bonus -= actual;
-            st.open_bonus += st.prob.pairs[pi].max_bonus;
+            st.open_bonus += prob.pairs[pi].max_bonus;
         }
-        for &pi in &st.cell_pairs[cell] {
+        for &pi in &st.inc.pairs[st.inc.cell_pairs[cell].clone()] {
             st.pair_open[pi] += 1;
         }
-        for (ni, old, hp_delta) in undo_bb.into_iter().rev() {
+        for (ni, old, hp_delta) in st.undo_bb.drain(bb_base..).rev() {
             st.net_bb[ni] = old;
             st.hpwl_partial += hp_delta;
         }
-        st.spans[cell] = None;
+        st.occupied.clear(row, s0, s1);
     }
-    st.assign[cell] = st.prob.cells[cell].current;
+    st.assign[cell] = mc.current;
+    st.cand_bufs[depth] = cand_order;
 }
 
 /// Heuristic per-candidate score used only for move ordering.
 fn local_score(st: &DfsState<'_>, cell: usize, k: usize) -> f64 {
     let prob = st.prob;
+    let geo = st.inc.geo(cell, k);
     let mut score = 0.0;
-    for &ni in &st.cell_nets[cell] {
-        let net = &prob.nets[ni];
-        let mut bb = st.net_bb[ni];
-        for &(c2, slot) in &net.movable {
-            if c2 == cell {
-                let g = prob.pin_geo[cell][k][slot];
-                bb = Some(match bb {
-                    None => (g.x, g.y, g.x, g.y),
-                    Some((x0, y0, x1, y1)) => (x0.min(g.x), y0.min(g.y), x1.max(g.x), y1.max(g.y)),
-                });
-            }
-        }
-        score += bb.map_or(0.0, |(x0, y0, x1, y1)| {
-            net.weight * ((x1 - x0) + (y1 - y0)) as f64
-        });
+    for ni in &st.inc.nets[st.inc.cell_nets[cell].clone()] {
+        let bb = st.net_bb[ni.net].grow(geo, &st.inc.slots[ni.slots.clone()]);
+        score += bb.weighted_hpwl(ni.weight);
     }
     // Reward candidates that immediately decide pairs favourably.
-    for &pi in &st.cell_pairs[cell] {
+    for &pi in &st.inc.pairs[st.inc.cell_pairs[cell].clone()] {
         if st.pair_open[pi] == 1 {
-            let mut tmp = st.assign.clone();
-            tmp[cell] = k;
-            score -= prob.pair_bonus(&prob.pairs[pi], &tmp);
+            score -= st.inc.pair_bonus(prob, pi, &st.assign, cell, k);
         }
     }
     score
@@ -460,6 +652,13 @@ mod tests {
     }
 
     #[test]
+    fn dfs_on_empty_window_returns_empty() {
+        let prob = problem(CellArch::ClosedM1, 0, 1);
+        assert!(prob.cells.is_empty());
+        assert!(dfs_solve(&prob, 1_000).is_empty());
+    }
+
+    #[test]
     fn dfs_matches_brute_force() {
         for seed in [1, 2, 3] {
             let prob = problem(CellArch::ClosedM1, 3, seed);
@@ -563,10 +762,74 @@ mod tests {
 
     #[test]
     fn node_cap_still_returns_legal() {
+        use std::sync::Arc;
+        use vm1_obs::Telemetry;
         let prob = problem(CellArch::ClosedM1, 6, 8);
         let a = dfs_solve(&prob, 10); // absurdly small budget
         assert!(prob.is_legal(&a));
         assert!(prob.eval(&a) <= prob.eval(&prob.current_assign()) + 1e-9);
+
+        // Through the dispatcher the capped solve is counted as such; an
+        // uncapped one is not.
+        let solve = |max_nodes: usize| {
+            let mut cfg = Vm1Config::closedm1();
+            cfg.max_nodes = max_nodes;
+            let sink = Arc::new(Telemetry::new());
+            let a = solve_window_with(&prob, &cfg, &MetricsHandle::of(sink.clone()));
+            assert!(prob.is_legal(&a));
+            sink.report()
+        };
+        let capped = solve(10);
+        assert_eq!(capped.counter(Counter::DfsNodeLimitHits), 1);
+        assert_eq!(
+            capped.counter(Counter::DfsNodesCapped),
+            capped.counter(Counter::DfsNodes)
+        );
+        assert!(capped.counter(Counter::DfsNodes) >= 10);
+        let exact = solve(1_000_000);
+        assert!(exact.counter(Counter::DfsNodes) < 1_000_000);
+        assert_eq!(exact.counter(Counter::DfsNodeLimitHits), 0);
+        assert_eq!(exact.counter(Counter::DfsNodesCapped), 0);
+    }
+
+    #[test]
+    fn row_bits_clash_matches_span_scan() {
+        // Random span sets over rows wider than one word: the bitmask must
+        // give the verdict of the O(n) scan it replaces, through both
+        // placing and lifting spans.
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = |n: i64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as i64
+        };
+        for _ in 0..200 {
+            let (row0, rows) = (rand(5) - 2, 1 + rand(4));
+            let (site0, sites) = (rand(40) - 20, 1 + rand(200));
+            let mut bits = RowBits::new(row0, row0 + rows, site0, site0 + sites);
+            let mut spans: Vec<(i64, i64, i64)> = Vec::new();
+            for _ in 0..80 {
+                let row = row0 + rand(rows);
+                let w = 1 + rand(sites.min(12));
+                let s0 = site0 + rand(sites - w + 1);
+                let s1 = s0 + w;
+                let scan = spans.iter().any(|&(r, a, b)| r == row && b > s0 && s1 > a);
+                assert_eq!(
+                    bits.clashes(row, s0, s1),
+                    scan,
+                    "{row} {s0}..{s1} vs {spans:?}"
+                );
+                if !scan {
+                    bits.set(row, s0, s1);
+                    spans.push((row, s0, s1));
+                }
+                if !spans.is_empty() && rand(3) == 0 {
+                    let (r, a, b) = spans.swap_remove(rand(spans.len() as i64) as usize);
+                    bits.clear(r, a, b);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,163 @@
+//! Golden test of the exact DFS window kernel: on a fixed set of seeded
+//! windows it pins the best assignment, the number of search nodes and
+//! the bits of the objective. Any change to the kernel that alters the
+//! search tree (visit order, pruning, node counting) or the floating-point
+//! evaluation order fails here, so a pure speed change must leave every
+//! row untouched.
+
+use std::sync::Arc;
+use vm1_core::problem::{Overrides, WindowProblem};
+use vm1_core::solver::{dfs_solve, solve_window_with};
+use vm1_core::window::WindowGrid;
+use vm1_core::Vm1Config;
+use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+use vm1_obs::{Counter, MetricsHandle, Telemetry};
+use vm1_place::{place, PlaceConfig, RowMap};
+use vm1_tech::CellArch::{self, ClosedM1, OpenM1};
+use vm1_tech::Library;
+
+/// The optimizer's default DFS node cap.
+const CAP: usize = 300_000;
+
+/// Window `win` (in grid order) among the windows of a generated design
+/// that hold at least `cells` movable cells, truncated to its first
+/// `cells` cells.
+fn window(arch: CellArch, flip: bool, cells: usize, win: usize) -> WindowProblem {
+    let lib = Library::synthetic_7nm(arch);
+    let mut d = GeneratorConfig::profile(DesignProfile::Aes)
+        .with_insts(420)
+        .generate(&lib, 21);
+    place(&mut d, &PlaceConfig::default(), 21);
+    let cfg = config(arch);
+    let u = cfg.sequence[0];
+    let tech = d.library().tech();
+    let bw = ((u.bw_um * 1000.0 / tech.site_width.nm() as f64).round() as i64).max(4);
+    let bh = ((u.bh_um * 1000.0 / tech.row_height.nm() as f64).round() as i64).max(1);
+    let rowmap = RowMap::build(&d);
+    let overrides = Overrides::new();
+    let grid = WindowGrid::partition(&d, 0, 0, bw, bh);
+    let mut movable = grid
+        .windows
+        .iter()
+        .map(|w| {
+            (
+                w,
+                WindowProblem::movable_in_window(&d, &rowmap, w, &overrides),
+            )
+        })
+        .filter(|(_, m)| m.len() >= cells)
+        .nth(win);
+    let (w, movable) = movable.as_mut().expect("design has enough full windows");
+    movable.truncate(cells);
+    WindowProblem::build(
+        &d, &rowmap, **w, movable, u.lx, u.ly, flip, &cfg, &overrides,
+    )
+}
+
+fn config(arch: CellArch) -> Vm1Config {
+    if arch == OpenM1 {
+        Vm1Config::openm1()
+    } else {
+        Vm1Config::closedm1()
+    }
+}
+
+/// `(assignment, nodes, eval bits)` of one DFS solve with node cap `cap`.
+fn solve(prob: &WindowProblem, arch: CellArch, cap: usize) -> (Vec<usize>, u64, u64) {
+    let assign = dfs_solve(prob, cap);
+    let mut cfg = config(arch);
+    cfg.max_nodes = cap;
+    let sink = Arc::new(Telemetry::new());
+    let via_dispatch = solve_window_with(prob, &cfg, &MetricsHandle::of(sink.clone()));
+    assert_eq!(via_dispatch, assign, "safety net must keep the DFS optimum");
+    let nodes = sink.report().counter(Counter::DfsNodes);
+    let bits = prob.eval(&assign).to_bits();
+    (assign, nodes, bits)
+}
+
+/// `(arch, flip, cells, win, cap)` of a [`window`] and node cap, and
+/// `(nodes, eval bits, assignment)` the kernel returned on it.
+type Case = (
+    (CellArch, bool, usize, usize, usize),
+    (u64, u64, &'static [usize]),
+);
+
+/// Eight exact solves, then two that stop at the optimizer's cap and four
+/// that stop at a 2 000-node cap, over both architectures with and
+/// without flipping. A capped search reports slightly more nodes than the
+/// cap: each level it unwinds through counts its next candidate before
+/// returning.
+const CASES: [Case; 14] = [
+    (
+        (ClosedM1, false, 6, 0, CAP),
+        (52_430, 0x40ec758000000000, &[0, 0, 6, 1, 6, 4]),
+    ),
+    (
+        (ClosedM1, false, 6, 3, CAP),
+        (164_376, 0x40f6020000000000, &[0, 5, 0, 0, 2, 5]),
+    ),
+    (
+        (ClosedM1, false, 7, 1, CAP),
+        (237_550, 0x40ef118000000000, &[8, 8, 8, 6, 0, 5, 3]),
+    ),
+    (
+        (ClosedM1, true, 5, 0, CAP),
+        (189_970, 0x40e7898000000000, &[0, 0, 12, 2, 12]),
+    ),
+    (
+        (ClosedM1, true, 5, 3, CAP),
+        (40_496, 0x40f0800000000000, &[7, 7, 1, 1, 1]),
+    ),
+    (
+        (OpenM1, false, 6, 1, CAP),
+        (164_088, 0x40ed342ccccccccd, &[8, 8, 0, 0, 7, 5]),
+    ),
+    (
+        (OpenM1, false, 7, 2, CAP),
+        (274_605, 0x40f85edccccccccc, &[4, 4, 8, 0, 6, 6, 6]),
+    ),
+    (
+        (OpenM1, true, 5, 2, CAP),
+        (151_110, 0x40ee378666666666, &[9, 0, 12, 0, 8]),
+    ),
+    (
+        (ClosedM1, false, 7, 0, CAP),
+        (300_006, 0x40ed058000000000, &[0, 1, 6, 0, 6, 4, 2]),
+    ),
+    (
+        (OpenM1, true, 7, 3, CAP),
+        (300_006, 0x40f5246999999999, &[3, 2, 0, 1, 1, 6, 18]),
+    ),
+    (
+        (ClosedM1, false, 6, 1, 2_000),
+        (2005, 0x40e66b8000000000, &[8, 8, 8, 6, 0, 5]),
+    ),
+    (
+        (ClosedM1, true, 7, 2, 2_000),
+        (2006, 0x40fd3a3000000000, &[13, 8, 10, 12, 8, 0, 6]),
+    ),
+    (
+        (OpenM1, false, 7, 0, 2_000),
+        (2004, 0x40e5fd0000000000, &[0, 0, 0, 0, 0, 0, 0]),
+    ),
+    (
+        (OpenM1, true, 6, 3, 2_000),
+        (2005, 0x40f3159ccccccccc, &[3, 0, 0, 1, 1, 5]),
+    ),
+];
+
+#[test]
+fn dfs_kernel_matches_golden_search() {
+    for (i, &((arch, flip, cells, win, cap), (nodes, eval_bits, assign))) in
+        CASES.iter().enumerate()
+    {
+        let prob = window(arch, flip, cells, win);
+        let got = solve(&prob, arch, cap);
+        assert_eq!(got, (assign.to_vec(), nodes, eval_bits), "case {i}");
+        assert_eq!(
+            nodes >= cap as u64,
+            i >= 8,
+            "case {i}: only the last six are capped"
+        );
+    }
+}

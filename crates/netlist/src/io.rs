@@ -33,6 +33,8 @@ pub enum ReadDefError {
     ArchMismatch(String),
     /// The reconstructed design failed validation.
     Invalid(DesignError),
+    /// The text ends before the closing `END` line (a cut-off file).
+    Truncated,
 }
 
 impl fmt::Display for ReadDefError {
@@ -44,6 +46,7 @@ impl fmt::Display for ReadDefError {
                 write!(f, "library architecture mismatch: file has {a}")
             }
             ReadDefError::Invalid(e) => write!(f, "invalid design: {e}"),
+            ReadDefError::Truncated => write!(f, "truncated file: no END line"),
         }
     }
 }
@@ -104,8 +107,10 @@ pub fn write_def(design: &Design) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ReadDefError`] on grammar violations, unknown references, or
-/// architecture mismatch. Connectivity is re-validated after parsing.
+/// Returns [`ReadDefError`] on grammar violations, unknown references,
+/// architecture mismatch, or a missing `END` line
+/// ([`ReadDefError::Truncated`]). Connectivity is re-validated after
+/// parsing.
 pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     use std::collections::HashMap;
 
@@ -114,6 +119,7 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     let mut port_ids: HashMap<String, crate::PortId> = HashMap::new();
     let mut inst_ids: HashMap<String, crate::InstId> = HashMap::new();
     let mut core: Option<(i64, i64)> = None;
+    let mut ended = false;
 
     let syntax = |ln: usize, m: &str| ReadDefError::Syntax(ln + 1, m.to_owned());
 
@@ -125,7 +131,8 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
         let mut tok = line.split_whitespace();
         let kw = tok.next().unwrap_or_default();
         match kw {
-            "VM1DEF" | "END" => {}
+            "VM1DEF" => {}
+            "END" => ended = true,
             "DESIGN" => {
                 name = tok
                     .next()
@@ -214,6 +221,9 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
         }
     }
 
+    if !ended {
+        return Err(ReadDefError::Truncated);
+    }
     let d = design.ok_or_else(|| syntax(0, "missing CORE section"))?;
     let _ = core;
     d.validate_connectivity().map_err(ReadDefError::Invalid)?;
@@ -304,6 +314,41 @@ mod tests {
             read_def(bad, &lib),
             Err(ReadDefError::Unknown(5, _))
         ));
+    }
+
+    #[test]
+    fn truncated_file_rejected() {
+        let (d, lib) = sample();
+        let text = write_def(&d);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.last(), Some(&"END"));
+        // Cuts at line boundaries in every section: the header, PORT,
+        // before the first, a middle and the last INST, NET, and just
+        // before END.
+        let first = |kw: &str| lines.iter().position(|l| l.starts_with(kw)).unwrap();
+        let (inst, net) = (first("INST "), first("NET "));
+        for cut in [
+            1,
+            4,
+            first("PORT ") + 1,
+            inst,
+            (inst + net) / 2,
+            net - 1,
+            net + 1,
+            lines.len() - 1,
+        ] {
+            let cut_text = lines[..cut].join("\n") + "\n";
+            assert_eq!(
+                read_def(&cut_text, &lib).err(),
+                Some(ReadDefError::Truncated),
+                "cut after {cut} lines"
+            );
+        }
+        // A cut mid-line fails too (here: an INST missing its status).
+        let mid = lines[..(inst + net) / 2].join("\n")
+            + "\n"
+            + lines[(inst + net) / 2].rsplit_once(' ').unwrap().0;
+        assert!(read_def(&mid, &lib).is_err());
     }
 
     #[test]

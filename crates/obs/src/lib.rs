@@ -72,6 +72,12 @@ pub enum Counter {
     MilpFallbacks,
     /// Nodes explored by the exact DFS window solver.
     DfsNodes,
+    /// DFS window solves that stopped at the node cap (`max_nodes`): their
+    /// result is the best assignment found so far, not a proven optimum.
+    DfsNodeLimitHits,
+    /// Nodes explored by the DFS solves counted in
+    /// [`Counter::DfsNodeLimitHits`] (a subset of [`Counter::DfsNodes`]).
+    DfsNodesCapped,
     /// Improvement passes executed by the greedy window solver.
     GreedyPasses,
     /// Windows visited that contained at least one movable cell.
@@ -136,7 +142,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 33] = [
         Counter::BbNodes,
         Counter::BbNodesPruned,
         Counter::LpSolves,
@@ -145,6 +151,8 @@ impl Counter {
         Counter::PresolveRedundantRows,
         Counter::MilpFallbacks,
         Counter::DfsNodes,
+        Counter::DfsNodeLimitHits,
+        Counter::DfsNodesCapped,
         Counter::GreedyPasses,
         Counter::WindowsVisited,
         Counter::WindowsImproved,
@@ -182,6 +190,8 @@ impl Counter {
             Counter::PresolveRedundantRows => "presolve_redundant_rows",
             Counter::MilpFallbacks => "milp_fallbacks",
             Counter::DfsNodes => "dfs_nodes",
+            Counter::DfsNodeLimitHits => "dfs_node_limit_hits",
+            Counter::DfsNodesCapped => "dfs_nodes_capped",
             Counter::GreedyPasses => "greedy_passes",
             Counter::WindowsVisited => "windows_visited",
             Counter::WindowsImproved => "windows_improved",
@@ -413,13 +423,26 @@ impl MetricsSink for NullSink {}
 
 /// The standard in-memory sink: atomic counters, atomic per-stage time
 /// accumulators, and a trajectory vector.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Telemetry {
     counters: [AtomicU64; Counter::ALL.len()],
     stage_nanos: [AtomicU64; Stage::ALL.len()],
     stage_calls: [AtomicU64; Stage::ALL.len()],
     gauges: [AtomicU64; SchedGauge::ALL.len()],
     trajectory: Mutex<Vec<TrajectoryPoint>>,
+}
+
+// Written out because `Default` for arrays stops at 32 elements.
+impl Default for Telemetry {
+    fn default() -> Telemetry {
+        Telemetry {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            stage_nanos: Default::default(),
+            stage_calls: Default::default(),
+            gauges: Default::default(),
+            trajectory: Mutex::default(),
+        }
+    }
 }
 
 impl Telemetry {
@@ -599,7 +622,7 @@ impl MetricsHandle {
 // ---------------------------------------------------------------------------
 
 /// Owned snapshot of a [`Telemetry`] sink.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 #[must_use = "a metrics report is only useful if it is exported or read"]
 pub struct MetricsReport {
     counters: [u64; Counter::ALL.len()],
@@ -607,6 +630,19 @@ pub struct MetricsReport {
     stage_calls: [u64; Stage::ALL.len()],
     gauges: [u64; SchedGauge::ALL.len()],
     trajectory: Vec<TrajectoryPoint>,
+}
+
+// Written out because `Default` for arrays stops at 32 elements.
+impl Default for MetricsReport {
+    fn default() -> MetricsReport {
+        MetricsReport {
+            counters: [0; Counter::ALL.len()],
+            stage_nanos: Default::default(),
+            stage_calls: Default::default(),
+            gauges: Default::default(),
+            trajectory: Vec::new(),
+        }
+    }
 }
 
 impl MetricsReport {

@@ -68,6 +68,14 @@ diff <(counters "$smoke_dir/det_t1.csv") <(counters "$smoke_dir/det_t8.csv")
 diff <(counters "$smoke_dir/det_t1.csv") <(counters "$smoke_dir/det_t8s.csv")
 echo "determinism OK"
 
+echo "== work: counters match scripts/expected-work.csv =="
+# The counters pin down what the run computed (DFS nodes, capped solves,
+# batches, moves). A speed change must leave them as they are; a change
+# that alters the search regenerates the file on purpose:
+#   grep -Ev '(_ms,|^sched_)' det_t1.csv > scripts/expected-work.csv
+diff scripts/expected-work.csv <(counters "$smoke_dir/det_t1.csv")
+echo "work OK"
+
 echo "== certify: proof-carrying MILP solves on a generated micro design =="
 # Under --audit every branch-and-bound window solve records an
 # optimality certificate that the exact-rational checker (vm1-certify)
