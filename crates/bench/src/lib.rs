@@ -22,8 +22,6 @@
 use vm1_flow::experiments::ExperimentScale;
 use vm1_tech::CellArch;
 
-pub mod sched_bench;
-
 /// Parsed command-line options of the experiment binaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cli {

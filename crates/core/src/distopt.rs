@@ -3,7 +3,7 @@
 //! The layout is partitioned into windows (shifted by `(tx, ty)`); the
 //! diagonal sets of [`crate::window::WindowGrid::diagonal_sets`] are
 //! processed one after another, and the windows *within* a set are solved
-//! in parallel by the persistent [`crate::sched::WorkerPool`] (their
+//! in parallel on scoped threads by [`crate::sched::run_round`] (their
 //! projections are disjoint, so window-local ΔHPWL is exact — Figure 4b).
 //! Windows holding more movable cells than `max_cells_per_milp` are
 //! solved in sequential batches with earlier batches fixed (the
@@ -15,14 +15,13 @@
 //! what changed instead of with design size.
 
 use crate::problem::{Candidate, Overrides, SolveScratch, WindowProblem};
-use crate::sched::{RoundCtx, WorkerPool};
+use crate::sched::{run_round, ClaimShuffle, Round};
 use crate::solver::solve_window_with;
 use crate::window::{Window, WindowGrid};
 use crate::Vm1Config;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 use vm1_netlist::{Design, InstId};
-use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage, Telemetry};
+use vm1_obs::{Counter, MetricsHandle, MetricsReport, SchedGauge, Stage};
 use vm1_place::{RowMap, SpanMove};
 
 /// Cache for the smart window selection: remembers problem-state digests
@@ -30,11 +29,11 @@ use vm1_place::{RowMap, SpanMove};
 /// unchanged window is skipped. Sound because
 /// [`WindowProblem::state_digest`] covers everything a solver observes.
 ///
-/// Cloning is shallow: clones share the same digest set, which is how the
-/// session hands its cache to the `'static` pool workers.
+/// Round workers only read the cache; the committing thread inserts the
+/// digests a round reports (see [`WindowOutcome::no_gain`]).
 #[derive(Clone, Debug, Default)]
 pub struct SolveCache {
-    no_gain: Arc<Mutex<HashSet<u64>>>,
+    no_gain: HashSet<u64>,
 }
 
 impl SolveCache {
@@ -44,26 +43,10 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// A poisoned lock only means another worker panicked mid-insert;
-    /// the set of no-gain digests is append-only and stays valid.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashSet<u64>> {
-        self.no_gain
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn known_no_gain(&self, digest: u64) -> bool {
-        self.lock().contains(&digest)
-    }
-
-    fn record_no_gain(&self, digest: u64) {
-        self.lock().insert(digest);
-    }
-
     /// Number of remembered no-gain states.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.no_gain.len()
     }
 
     /// Whether the cache is empty.
@@ -119,154 +102,95 @@ impl DistOptStats {
     }
 }
 
-/// Runs one distributable optimization pass; mutates the placement.
-///
-/// # Panics
-///
-/// Panics if the resulting placement were illegal (this is a bug guard —
-/// window solutions are legal by construction).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Vm1Optimizer::new(cfg).run_pass(design, params)` instead"
-)]
-pub fn dist_opt(design: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> DistOptStats {
-    let telemetry = Arc::new(Telemetry::new());
-    let pool = WorkerPool::new(cfg.threads, cfg.sched);
-    dist_opt_impl(
-        design,
-        p,
-        cfg,
-        None,
-        &MetricsHandle::of(telemetry.clone()),
-        &pool,
-    );
-    DistOptStats::from_report(&telemetry.report())
-}
-
-/// [`dist_opt`] with an optional smart window-selection cache shared
-/// across calls (the paper's improvement (ii) over the distributable
-/// optimization of Han et al.).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Vm1Optimizer::new(cfg).with_cache().run_pass(design, params)` instead"
-)]
-pub fn dist_opt_cached(
-    design: &mut Design,
-    p: &DistOptParams,
-    cfg: &Vm1Config,
-    cache: Option<&SolveCache>,
-) -> DistOptStats {
-    let telemetry = Arc::new(Telemetry::new());
-    let pool = WorkerPool::new(cfg.threads, cfg.sched);
-    dist_opt_impl(
-        design,
-        p,
-        cfg,
-        cache,
-        &MetricsHandle::of(telemetry.clone()),
-        &pool,
-    );
-    DistOptStats::from_report(&telemetry.report())
-}
-
-/// Algorithm 2 proper. All accounting goes through `metrics`; callers
-/// wanting a [`DistOptStats`] attach a [`Telemetry`] sink and build the
-/// view from its report. Rounds execute on `pool`'s persistent workers
-/// (or inline for a single-thread pool) — no threads are spawned here.
+/// Algorithm 2 proper: one pass over the shifted window grid, committed
+/// into `design` round by round. All accounting goes through `metrics`;
+/// callers wanting a [`DistOptStats`] attach a [`vm1_obs::Telemetry`]
+/// sink and build the view from its report. `scratch` holds one solver
+/// scratch per round worker, reused across rounds and passes; `shuffle`
+/// permutes each round's claim order (schedule-permutation tests only).
 pub(crate) fn dist_opt_impl(
     design: &mut Design,
     p: &DistOptParams,
     cfg: &Vm1Config,
-    cache: Option<&SolveCache>,
+    mut cache: Option<&mut SolveCache>,
     metrics: &MetricsHandle,
-    pool: &WorkerPool,
+    scratch: &mut Vec<SolveScratch>,
+    mut shuffle: Option<&mut ClaimShuffle>,
 ) {
     let grid = WindowGrid::partition(design, p.tx, p.ty, p.bw_sites, p.bh_rows);
     let sets = grid.diagonal_sets();
     metrics.incr(Counter::DistOptPasses);
     metrics.add(Counter::DistOptRounds, sets.len() as u64);
 
-    // Hand the design to the `'static` pool workers via `Arc`: the
-    // caller's reference is parked on an empty placeholder and restored
-    // at the end of the pass (also when a solve panics).
-    let placeholder = Design::new("", design.library().clone(), 0, 0);
-    let mut shared = Arc::new(std::mem::replace(design, placeholder));
     // Build occupancy once per pass; rounds patch it incrementally.
-    let mut rowmap = Arc::new(RowMap::build(&shared));
+    let mut rowmap = RowMap::build(design);
     metrics.incr(Counter::RowMapBuilds);
-    let cfg_shared = Arc::new(cfg.clone());
 
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        for set in &sets {
-            let windows: Vec<Window> = set.iter().map(|&i| grid.windows[i]).collect();
-            metrics.record_gauge(SchedGauge::QueueHighWater, windows.len() as u64);
-            let round = pool.run_round(RoundCtx {
-                design: Arc::clone(&shared),
-                rowmap: Arc::clone(&rowmap),
-                windows,
-                p: *p,
-                cfg: Arc::clone(&cfg_shared),
-                cache: cache.cloned(),
-                metrics: metrics.clone(),
-            });
-            if let Some(payload) = round.panics.into_iter().next() {
-                // Re-raise a worker panic with its original payload (the
-                // outer catch restores the caller's design first).
-                std::panic::resume_unwind(payload);
-            }
+    for set in &sets {
+        let windows: Vec<Window> = set.iter().map(|&i| grid.windows[i]).collect();
+        metrics.record_gauge(SchedGauge::QueueHighWater, windows.len() as u64);
+        let order = shuffle.as_deref_mut().map(|s| s.order(windows.len()));
+        let outcomes = run_round(
+            &Round {
+                design,
+                rowmap: &rowmap,
+                windows: &windows,
+                p,
+                cfg,
+                cache: cache.as_deref(),
+                metrics,
+                order: order.as_deref(),
+            },
+            scratch,
+        );
 
-            // Commit in window-index order on this single thread; every
-            // deterministic counter is emitted here. `run_round` returned
-            // all snapshot clones, so `make_mut` mutates in place.
-            let d = Arc::make_mut(&mut shared);
-            let mut span_moves: Vec<SpanMove> = Vec::new();
-            for outcome in round.outcomes.into_iter().flatten() {
-                if outcome.visited {
-                    metrics.incr(Counter::WindowsVisited);
-                }
-                metrics.add(Counter::BatchCacheHits, outcome.batches_skipped as u64);
-                metrics.add(Counter::BatchesSolved, outcome.batches_solved as u64);
-                if !outcome.moves.is_empty() {
-                    metrics.incr(Counter::WindowsImproved);
-                }
-                for (inst, cand) in outcome.moves {
-                    let (site, row, orient) = {
-                        let i = d.inst(inst);
-                        (i.site, i.row, i.orient)
-                    };
-                    if (site, row, orient) == (cand.site, cand.row, cand.orient) {
-                        continue; // solvers record only real changes; guard anyway
-                    }
-                    metrics.incr(Counter::CellsChanged);
-                    if (site, row) != (cand.site, cand.row) {
-                        // Flips keep their span; only positional moves
-                        // patch the occupancy index.
-                        let w = d.library().cell(d.inst(inst).cell).width_sites;
-                        span_moves.push(SpanMove {
-                            inst,
-                            old_row: row,
-                            new_row: cand.row,
-                            new_start: cand.site,
-                            new_end: cand.site + w,
-                        });
-                    }
-                    d.move_inst(inst, cand.site, cand.row, cand.orient);
-                }
+        // Commit in window-index order on this single thread; every
+        // deterministic counter is emitted here.
+        let mut span_moves: Vec<SpanMove> = Vec::new();
+        for outcome in outcomes {
+            if outcome.visited {
+                metrics.incr(Counter::WindowsVisited);
             }
-            if !span_moves.is_empty() {
-                let patched = Arc::make_mut(&mut rowmap).patch_moves(&span_moves);
-                metrics.add(Counter::RowMapRowsPatched, patched as u64);
+            metrics.add(Counter::BatchCacheHits, outcome.batches_skipped as u64);
+            metrics.add(Counter::BatchesSolved, outcome.batches_solved as u64);
+            if let Some(c) = cache.as_deref_mut() {
+                c.no_gain.extend(outcome.no_gain);
             }
-            debug_assert!(
-                rowmap.consistent_with(&shared),
-                "incremental occupancy diverged from the placement"
-            );
+            if !outcome.moves.is_empty() {
+                metrics.incr(Counter::WindowsImproved);
+            }
+            for (inst, cand) in outcome.moves {
+                let (site, row, orient) = {
+                    let i = design.inst(inst);
+                    (i.site, i.row, i.orient)
+                };
+                if (site, row, orient) == (cand.site, cand.row, cand.orient) {
+                    continue; // solvers record only real changes; guard anyway
+                }
+                metrics.incr(Counter::CellsChanged);
+                if (site, row) != (cand.site, cand.row) {
+                    // Flips keep their span; only positional moves
+                    // patch the occupancy index.
+                    let w = design.library().cell(design.inst(inst).cell).width_sites;
+                    span_moves.push(SpanMove {
+                        inst,
+                        old_row: row,
+                        new_row: cand.row,
+                        new_start: cand.site,
+                        new_end: cand.site + w,
+                    });
+                }
+                design.move_inst(inst, cand.site, cand.row, cand.orient);
+            }
         }
-    }));
-
-    *design = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-    if let Err(payload) = run {
-        std::panic::resume_unwind(payload);
+        if !span_moves.is_empty() {
+            let patched = rowmap.patch_moves(&span_moves);
+            metrics.add(Counter::RowMapRowsPatched, patched as u64);
+        }
+        debug_assert!(
+            rowmap.consistent_with(design),
+            "incremental occupancy diverged from the placement"
+        );
     }
 
     debug_assert!(
@@ -288,6 +212,11 @@ pub(crate) struct WindowOutcome {
     pub(crate) batches_solved: usize,
     /// Batches skipped by the smart-selection cache.
     pub(crate) batches_skipped: usize,
+    /// State digests of batches solved without gain, for the committing
+    /// thread to insert into the cache. A round can never hit its own
+    /// digests (they cover the window position and the batch's cells),
+    /// so deferring the inserts changes no result.
+    pub(crate) no_gain: Vec<u64>,
 }
 
 /// Solves one window (with batching); returns the moves to commit plus
@@ -313,25 +242,24 @@ pub(crate) fn solve_one_window(
         visited: !movable.is_empty(),
         batches_solved: 0,
         batches_skipped: 0,
+        no_gain: Vec::new(),
     };
     for batch in movable.chunks(cfg.max_cells_per_milp.max(1)) {
         let prob = WindowProblem::build_with_scratch(
             design, rowmap, win, batch, p.lx, p.ly, p.flip, cfg, &overrides, scratch,
         );
         let digest = prob.state_digest();
-        if let Some(c) = cache {
-            if c.known_no_gain(digest) {
-                outcome.batches_skipped += 1;
-                continue; // identical state solved before with no gain
-            }
+        if cache.is_some_and(|c| c.no_gain.contains(&digest)) {
+            outcome.batches_skipped += 1;
+            continue; // identical state solved before with no gain
         }
         outcome.batches_solved += 1;
         let assign = metrics.timed(Stage::WindowSolve, || {
             solve_window_with(&prob, cfg, metrics)
         });
         if assign == prob.current_assign() {
-            if let Some(c) = cache {
-                c.record_no_gain(digest);
+            if cache.is_some() {
+                outcome.no_gain.push(digest);
             }
             continue;
         }
@@ -353,7 +281,9 @@ mod tests {
     use super::*;
     use crate::calculate_obj;
     use crate::session::Vm1Optimizer;
+    use std::sync::Arc;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+    use vm1_obs::Telemetry;
     use vm1_place::{place, PlaceConfig};
     use vm1_tech::{CellArch, Library};
 
@@ -371,8 +301,7 @@ mod tests {
         (d, cfg)
     }
 
-    /// One uncached pass through the session API (what `dist_opt` used
-    /// to be).
+    /// One uncached pass through the session API.
     fn pass(d: &mut Design, p: &DistOptParams, cfg: &Vm1Config) -> DistOptStats {
         Vm1Optimizer::new(cfg.clone())
             .without_cache()
@@ -441,25 +370,13 @@ mod tests {
         let (mut d2, _) = setup(CellArch::ClosedM1, 200, 4);
         let p1 = params(&d1);
         let p2 = params(&d2);
-        let t1 = std::sync::Arc::new(Telemetry::new());
-        let t2 = std::sync::Arc::new(Telemetry::new());
-        let pool = WorkerPool::new(cfg.threads, cfg.sched);
-        dist_opt_impl(
-            &mut d1,
-            &p1,
-            &cfg,
-            None,
-            &MetricsHandle::of(t1.clone()),
-            &pool,
-        );
-        dist_opt_impl(
-            &mut d2,
-            &p2,
-            &cfg,
-            None,
-            &MetricsHandle::of(t2.clone()),
-            &pool,
-        );
+        let t1 = Arc::new(Telemetry::new());
+        let t2 = Arc::new(Telemetry::new());
+        let mut scratch = Vec::new();
+        let m1 = MetricsHandle::of(t1.clone());
+        dist_opt_impl(&mut d1, &p1, &cfg, None, &m1, &mut scratch, None);
+        let m2 = MetricsHandle::of(t2.clone());
+        dist_opt_impl(&mut d2, &p2, &cfg, None, &m2, &mut scratch, None);
         for ((_, a), (_, b)) in d1.insts().zip(d2.insts()) {
             assert_eq!((a.site, a.row, a.orient), (b.site, b.row, b.orient));
         }
@@ -475,23 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn sched_policies_and_thread_counts_bit_identical() {
-        // Placements AND counters must be invariant under both scheduling
-        // policy and thread count (the tentpole's determinism contract).
-        use crate::config::SchedPolicy;
+    fn thread_counts_bit_identical() {
+        // Placements AND counters must be invariant under the thread
+        // count (the round's determinism contract).
         type Snapshot = (Vec<(i64, i64, bool)>, Vec<u64>);
         let mut reference: Option<Snapshot> = None;
-        for (threads, sched) in [
-            (1, SchedPolicy::WorkSteal),
-            (4, SchedPolicy::WorkSteal),
-            (4, SchedPolicy::StaticChunk),
-        ] {
+        for threads in [1, 4] {
             let (mut d, cfg) = setup(CellArch::ClosedM1, 200, 6);
-            let cfg = cfg.with_threads(threads).with_sched(sched);
+            let cfg = cfg.with_threads(threads);
             let p = params(&d);
-            let t = std::sync::Arc::new(Telemetry::new());
-            let pool = WorkerPool::new(cfg.threads, cfg.sched);
-            dist_opt_impl(&mut d, &p, &cfg, None, &MetricsHandle::of(t.clone()), &pool);
+            let t = Arc::new(Telemetry::new());
+            let m = MetricsHandle::of(t.clone());
+            dist_opt_impl(&mut d, &p, &cfg, None, &m, &mut Vec::new(), None);
             let placement: Vec<(i64, i64, bool)> = d
                 .insts()
                 .map(|(_, i)| (i.site, i.row, i.orient.is_flipped()))
@@ -501,8 +413,8 @@ mod tests {
             match &reference {
                 None => reference = Some((placement, counters)),
                 Some((p0, c0)) => {
-                    assert_eq!(&placement, p0, "threads={threads} sched={sched:?}");
-                    assert_eq!(&counters, c0, "threads={threads} sched={sched:?}");
+                    assert_eq!(&placement, p0, "threads={threads}");
+                    assert_eq!(&counters, c0, "threads={threads}");
                 }
             }
         }

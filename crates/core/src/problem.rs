@@ -130,7 +130,7 @@ pub struct WindowProblem {
 /// are built.
 pub type Overrides = HashMap<InstId, Candidate>;
 
-/// Reusable buffers for window-problem construction. Each pool worker
+/// Reusable buffers for window-problem construction. Each round worker
 /// owns one scratch and threads it through every window it solves, so the
 /// hot path ([`WindowProblem::movable_in_window_into`] and
 /// [`WindowProblem::build_with_scratch`]) allocates only once per worker
@@ -222,7 +222,7 @@ impl WindowProblem {
     }
 
     /// [`WindowProblem::build`] with caller-owned scratch buffers (see
-    /// [`SolveScratch`]); the hot path of the worker pool.
+    /// [`SolveScratch`]); the hot path of the round workers.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_scratch(

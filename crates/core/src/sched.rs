@@ -1,131 +1,137 @@
-//! Persistent work-stealing worker pool for the `DistOpt` rounds.
+//! One `DistOpt` round: the windows of a diagonal set solved on scoped
+//! threads.
 //!
-//! The pool is created once (lazily, by [`crate::Vm1Optimizer`]) and
-//! reused for every round of every pass, replacing the per-round
-//! scoped-thread spawning the module used to do. Each round hands the
-//! workers an immutable snapshot of the design and occupancy index
-//! (`Arc`s inside [`RoundCtx`]); every window of the round is one task.
-//!
-//! # Scheduling
-//!
-//! Under [`SchedPolicy::WorkSteal`] tasks are striped over per-worker
-//! deques; a worker pops its own deque from the front and, when empty,
-//! steals from the back of the others — so one dense window no longer
-//! stalls its whole round. [`SchedPolicy::StaticChunk`] assigns one
-//! contiguous chunk per worker with no stealing, mirroring the old
-//! behaviour for benchmarks.
+//! [`run_round`] runs `min(threads, windows)` workers inside
+//! [`std::thread::scope`]; the calling thread is worker 0, so a 1-thread
+//! config or a 1-window round spawns nothing. Workers borrow the round's
+//! design, occupancy index, configuration and no-gain cache, claim window
+//! indices from one shared cursor, and write each [`WindowOutcome`] into
+//! that window's slot. Each worker reuses one [`SolveScratch`] of the
+//! caller's vector across rounds.
 //!
 //! # Determinism
 //!
-//! Scheduling never reaches the results: each task writes its
-//! [`WindowOutcome`] into a slot indexed by task number, and the round
-//! returns the slots in window-index order to the single committing
-//! thread. A window outcome depends only on the round's immutable inputs
-//! (windows of one diagonal set are disjoint, and the no-gain cache can
-//! never be hit by a digest inserted in the same round because digests
-//! include the window position), so placements and every [`vm1_obs::Counter`]
-//! are bit-identical for any `threads`/policy combination. Only the
-//! [`SchedGauge`] channel (steals, busy times) is scheduling-dependent.
-//!
-//! # Pool protocol
-//!
-//! A round is published under the pool mutex with a bumped epoch; workers
-//! attach (increment `working`) at most once per epoch. A worker drops
-//! its `Arc<RoundState>` clone *before* detaching, so when the committing
-//! thread observes `remaining == 0 && working == 0` under the same mutex,
-//! no worker can still hold the design/rowmap snapshots. Task panics are
-//! caught per task and re-raised on the committing thread after cleanup.
+//! Scheduling never reaches the results. A window outcome depends only on
+//! the round's immutable inputs (windows of one diagonal set are
+//! disjoint, and workers only read the no-gain cache; the committing
+//! thread inserts the round's digests afterwards), and the outcomes come
+//! back in window-index order. So placements and every
+//! [`vm1_obs::Counter`] are bit-identical for any thread count; only the
+//! [`SchedGauge`] channel (busy times, tasks per worker) depends on it.
 //!
 //! # Schedule-permutation model checking
 //!
-//! [`WorkerPool::new_adversarial`] arms a seeded adversary that replays
-//! every round under a worst-case interleaving drawn from a per-round
-//! xorshift64 stream: permuted task stripes, all tasks piled onto one
-//! victim queue (forcing every other worker to steal), reversed queue
-//! drains, and rotated chunk assignments — plus randomized steal-victim
-//! rotation and steal-before-own-queue ordering. Because scheduling can
-//! never reach the results (see *Determinism* above), placements and
-//! every counter must stay bit-identical under any adversary seed; the
-//! `sched_permutation` integration tests assert exactly that.
+//! [`ClaimShuffle`] permutes each round's claim order with a seeded
+//! xorshift64 stream (armed by `Vm1Optimizer::with_adversarial_sched`),
+//! so windows are solved, and their outcomes land in their slots, in an
+//! order unlike the ascending default. Results must stay bit-identical
+//! under any seed; the `sched_permutation` integration tests assert that.
 
 use crate::distopt::{solve_one_window, DistOptParams, SolveCache, WindowOutcome};
 use crate::problem::SolveScratch;
 use crate::window::Window;
-use crate::{SchedPolicy, Vm1Config};
-use std::any::Any;
-use std::collections::VecDeque;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use crate::Vm1Config;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use vm1_netlist::Design;
 use vm1_obs::timer::Stopwatch;
 use vm1_obs::{MetricsHandle, SchedGauge};
 use vm1_place::RowMap;
 
-/// All locks in this module guard plain data that is valid in every
-/// intermediate state, so a poisoning panic elsewhere never invalidates
-/// them.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Everything one round of window solving needs, shared with the workers.
-pub(crate) struct RoundCtx {
-    /// Immutable design snapshot of the round.
-    pub design: Arc<Design>,
+/// Everything the workers of one round borrow.
+pub(crate) struct Round<'a> {
+    /// The design, unchanged for the whole round.
+    pub design: &'a Design,
     /// Occupancy index matching `design`.
-    pub rowmap: Arc<RowMap>,
+    pub rowmap: &'a RowMap,
     /// The round's windows (one diagonal set, in window-index order).
-    pub windows: Vec<Window>,
+    pub windows: &'a [Window],
     /// DistOpt parameters of the pass.
-    pub p: DistOptParams,
-    /// Solver configuration.
-    pub cfg: Arc<Vm1Config>,
-    /// Smart window-selection cache, if enabled.
-    pub cache: Option<SolveCache>,
+    pub p: &'a DistOptParams,
+    /// Solver configuration; `cfg.threads` bounds the worker count.
+    pub cfg: &'a Vm1Config,
+    /// Smart window-selection cache, if enabled (read-only here).
+    pub cache: Option<&'a SolveCache>,
     /// Metrics fan-out of the pass.
-    pub metrics: MetricsHandle,
+    pub metrics: &'a MetricsHandle,
+    /// Claim order as a permutation of window indices; `None` claims them
+    /// in ascending order.
+    pub order: Option<&'a [usize]>,
 }
 
-/// What a round returns to the committing thread.
-pub(crate) struct RoundResult {
-    /// Per-window outcomes in window-index order; `None` only for a task
-    /// that panicked (then `panics` is non-empty).
-    pub outcomes: Vec<Option<WindowOutcome>>,
-    /// Panic payloads of crashed tasks, to re-raise after cleanup.
-    pub panics: Vec<Box<dyn Any + Send>>,
+/// Solves every window of `round` and returns the outcomes in
+/// window-index order. `scratch` holds one buffer set per worker and
+/// grows to the worker count on first use. A worker panic is re-raised
+/// on the caller with its original payload.
+pub(crate) fn run_round(round: &Round<'_>, scratch: &mut Vec<SolveScratch>) -> Vec<WindowOutcome> {
+    let n = round.windows.len();
+    // `threads` is a public field: a zero there runs on the caller.
+    let workers = round.cfg.threads.max(1).min(n);
+    if scratch.len() < workers {
+        scratch.resize_with(workers, SolveScratch::default);
+    }
+    let Some((own, helpers)) = scratch[..workers].split_first_mut() else {
+        return Vec::new(); // zero-window round
+    };
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<WindowOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
+    let work = |scratch: &mut SolveScratch| {
+        let start = Stopwatch::start();
+        let mut executed = 0u64;
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break;
+            }
+            let w = round.order.map_or(k, |o| o[k]);
+            let outcome = solve_one_window(
+                round.design,
+                round.rowmap,
+                round.windows[w],
+                round.p,
+                round.cfg,
+                round.cache,
+                round.metrics,
+                scratch,
+            );
+            // Each index is claimed exactly once, so the slot is empty.
+            let _ = slots[w].set(outcome);
+            executed += 1;
+        }
+        let busy = start.elapsed_nanos();
+        let m = round.metrics;
+        m.record_gauge(SchedGauge::TasksExecuted, executed);
+        m.record_gauge(SchedGauge::WorkerBusyNanos, busy);
+        m.record_gauge(SchedGauge::WorkerBusyMaxNanos, busy);
+    };
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .map(|scratch| s.spawn(move || work(scratch)))
+            .collect();
+        work(own);
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    let outcomes: Vec<WindowOutcome> = slots.into_iter().filter_map(OnceLock::into_inner).collect();
+    debug_assert_eq!(outcomes.len(), n, "every window of the round was solved");
+    outcomes
 }
 
-/// Shared state of one in-flight round.
-struct RoundState {
-    ctx: RoundCtx,
-    policy: SchedPolicy,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    results: Vec<Mutex<Option<WindowOutcome>>>,
-    remaining: AtomicUsize,
-    panics: Mutex<Vec<Box<dyn Any + Send>>>,
-    /// Adversarial steal-victim rotation: worker `w` tries victims
-    /// starting at `(w + steal_rot)`. Zero in normal rounds.
-    steal_rot: usize,
-    /// Adversarial ordering: steal from other queues *before* draining
-    /// the own queue. False in normal rounds.
-    steal_first: bool,
-}
+/// Seeded permutation of each round's claim order (test hook; see the
+/// module docs). The xorshift64 stream runs on across rounds, so one
+/// seed replays the same sequence of permutations exactly.
+#[derive(Clone, Debug)]
+pub(crate) struct ClaimShuffle(u64);
 
-/// Splitmix-style seeded xorshift64 stream for the schedule adversary.
-/// Deterministic per (seed, round), so a failing seed replays exactly.
-struct AdversaryRng(u64);
-
-impl AdversaryRng {
-    fn new(seed: u64, round: u64) -> AdversaryRng {
-        // Mix so that seed 0 / round 0 still yields a nonzero state.
-        AdversaryRng(
-            seed ^ round
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(0x1234_5678_9ABC_DEF1),
-        )
+impl ClaimShuffle {
+    /// A stream for `seed`; every seed, 0 included, gives a nonzero state.
+    pub(crate) fn new(seed: u64) -> ClaimShuffle {
+        ClaimShuffle((seed ^ 0x1234_5678_9ABC_DEF1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
     }
 
     fn next(&mut self) -> u64 {
@@ -137,424 +143,217 @@ impl AdversaryRng {
         x
     }
 
-    /// Uniform-ish draw in `0..n` (`n > 0`).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+    /// A Fisher–Yates permutation of `0..n`.
+    pub(crate) fn order(&mut self, n: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, (self.next() % (i as u64 + 1)) as usize);
+        }
+        order
     }
-}
-
-struct PoolState {
-    round: Option<Arc<RoundState>>,
-    epoch: u64,
-    working: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled when a round is published or the pool shuts down.
-    work_cv: Condvar,
-    /// Signalled when a worker detaches from a round.
-    done_cv: Condvar,
-}
-
-/// The persistent window-solving pool. Owned by `Vm1Optimizer`; dropped
-/// pools shut their workers down and join them.
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-    policy: SchedPolicy,
-    /// Scratch of the inline path (single-thread pools and one-window
-    /// rounds run on the calling thread).
-    scratch: Mutex<SolveScratch>,
-    /// Adversary seed; `None` runs the normal schedule.
-    adversary: Option<u64>,
-    /// Rounds dispatched so far — the adversary's per-round stream index.
-    rounds: AtomicU64,
-}
-
-impl fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-impl WorkerPool {
-    /// Creates a pool of `threads` persistent workers. A single-thread
-    /// pool spawns nothing and runs rounds inline on the caller.
-    pub(crate) fn new(threads: usize, policy: SchedPolicy) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                round: None,
-                epoch: 0,
-                working: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let mut handles = Vec::new();
-        if threads >= 2 {
-            for i in 0..threads {
-                let sh = Arc::clone(&shared);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("vm1-window-{i}"))
-                        .spawn(move || worker_main(&sh, i))
-                        .expect("spawn DistOpt pool worker"), // lint: allow(cannot run without workers; spawn failure at construction is unrecoverable)
-                );
-            }
-        }
-        WorkerPool {
-            shared,
-            handles,
-            policy,
-            scratch: Mutex::new(SolveScratch::default()),
-            adversary: None,
-            rounds: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a pool whose every round is scheduled by the seeded
-    /// adversary (see the module docs). Forces [`SchedPolicy::WorkSteal`]:
-    /// the adversary's all-to-one mode relies on stealing to drain.
-    pub(crate) fn new_adversarial(threads: usize, seed: u64) -> WorkerPool {
-        let mut pool = WorkerPool::new(threads, SchedPolicy::WorkSteal);
-        pool.adversary = Some(seed);
-        pool
-    }
-
-    /// Number of pool workers (0 = inline execution on the caller).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Solves every window of `ctx` and returns the outcomes in
-    /// window-index order. Blocks until the round is fully drained; on
-    /// return no worker holds a reference to the round's snapshots.
-    pub(crate) fn run_round(&self, ctx: RoundCtx) -> RoundResult {
-        let n = ctx.windows.len();
-        if self.handles.is_empty() || n <= 1 {
-            return self.run_inline(&ctx);
-        }
-        let nw = self.handles.len();
-        let mut qs: Vec<VecDeque<usize>> = (0..nw).map(|_| VecDeque::new()).collect();
-        let mut steal_rot = 0usize;
-        let mut steal_first = false;
-        if let Some(seed) = self.adversary {
-            let round_no = self.rounds.fetch_add(1, Ordering::Relaxed);
-            let mut rng = AdversaryRng::new(seed, round_no);
-            adversarial_distribute(&mut qs, n, &mut rng);
-            steal_rot = rng.below(nw);
-            steal_first = rng.next() & 1 == 1;
-        } else {
-            match self.policy {
-                SchedPolicy::WorkSteal => {
-                    for t in 0..n {
-                        qs[t % nw].push_back(t);
-                    }
-                }
-                SchedPolicy::StaticChunk => {
-                    let chunk = n.div_ceil(nw).max(1);
-                    for t in 0..n {
-                        qs[(t / chunk).min(nw - 1)].push_back(t);
-                    }
-                }
-            }
-        }
-        let round = Arc::new(RoundState {
-            ctx,
-            policy: self.policy,
-            queues: qs.into_iter().map(Mutex::new).collect(),
-            results: (0..n).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(n),
-            panics: Mutex::new(Vec::new()),
-            steal_rot,
-            steal_first,
-        });
-        {
-            let mut st = lock(&self.shared.state);
-            st.round = Some(Arc::clone(&round));
-            st.epoch = st.epoch.wrapping_add(1);
-            self.shared.work_cv.notify_all();
-            while round.remaining.load(Ordering::Acquire) != 0 || st.working != 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            // Clearing the slot under the same lock in which `working`
-            // hit zero guarantees no worker re-attaches to this epoch.
-            st.round = None;
-        }
-        let panics = std::mem::take(&mut *lock(&round.panics));
-        let outcomes = round.results.iter().map(|r| lock(r).take()).collect();
-        // Last reference: releases the design/rowmap snapshot clones so
-        // the committing thread regains unique ownership.
-        drop(round);
-        RoundResult { outcomes, panics }
-    }
-
-    /// Runs a round on the calling thread (single-thread pools and
-    /// trivial rounds). Panics propagate directly to the caller.
-    fn run_inline(&self, ctx: &RoundCtx) -> RoundResult {
-        let start = Stopwatch::start();
-        let mut scratch = lock(&self.scratch);
-        let outcomes: Vec<Option<WindowOutcome>> = ctx
-            .windows
-            .iter()
-            .map(|&win| {
-                Some(solve_one_window(
-                    &ctx.design,
-                    &ctx.rowmap,
-                    win,
-                    &ctx.p,
-                    &ctx.cfg,
-                    ctx.cache.as_ref(),
-                    &ctx.metrics,
-                    &mut scratch,
-                ))
-            })
-            .collect();
-        // Rule D4: release the scratch guard before any telemetry send.
-        drop(scratch);
-        let busy = start.elapsed_nanos();
-        ctx.metrics
-            .record_gauge(SchedGauge::TasksExecuted, ctx.windows.len() as u64);
-        ctx.metrics.record_gauge(SchedGauge::WorkerBusyNanos, busy);
-        ctx.metrics
-            .record_gauge(SchedGauge::WorkerBusyMaxNanos, busy);
-        RoundResult {
-            outcomes,
-            panics: Vec::new(),
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.work_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Worker loop: wait for a round, drain tasks, detach, repeat.
-fn worker_main(shared: &PoolShared, me: usize) {
-    let mut scratch = SolveScratch::default();
-    let mut last_epoch = 0u64;
-    loop {
-        let round = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                match &st.round {
-                    Some(r) if st.epoch != last_epoch => {
-                        let r = Arc::clone(r);
-                        last_epoch = st.epoch;
-                        st.working += 1;
-                        break r;
-                    }
-                    _ => {
-                        st = shared
-                            .work_cv
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
-        };
-        run_tasks(&round, me, &mut scratch);
-        // Drop our reference BEFORE detaching: once the committing thread
-        // observes `working == 0`, no worker still holds the round.
-        drop(round);
-        let mut st = lock(&shared.state);
-        st.working -= 1;
-        drop(st);
-        shared.done_cv.notify_all();
-    }
-}
-
-/// Drains tasks for one attached worker and records the scheduler gauges.
-fn run_tasks(round: &RoundState, me: usize, scratch: &mut SolveScratch) {
-    let start = Stopwatch::start();
-    let me = me % round.queues.len();
-    let mut executed = 0u64;
-    let mut steals = 0u64;
-    while let Some(task) = claim_task(round, me, &mut steals) {
-        let ctx = &round.ctx;
-        let win = ctx.windows[task];
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            solve_one_window(
-                &ctx.design,
-                &ctx.rowmap,
-                win,
-                &ctx.p,
-                &ctx.cfg,
-                ctx.cache.as_ref(),
-                &ctx.metrics,
-                scratch,
-            )
-        }));
-        match out {
-            Ok(outcome) => *lock(&round.results[task]) = Some(outcome),
-            Err(payload) => lock(&round.panics).push(payload),
-        }
-        executed += 1;
-        // Count the task done only after its result (or panic payload)
-        // is visible; the committing thread acquires on this counter.
-        round.remaining.fetch_sub(1, Ordering::AcqRel);
-    }
-    let busy = start.elapsed_nanos();
-    let m = &round.ctx.metrics;
-    m.record_gauge(SchedGauge::TasksExecuted, executed);
-    m.record_gauge(SchedGauge::Steals, steals);
-    m.record_gauge(SchedGauge::WorkerBusyNanos, busy);
-    m.record_gauge(SchedGauge::WorkerBusyMaxNanos, busy);
-}
-
-/// Fills the round's queues under one of the adversary's four worst-case
-/// interleaving modes, drawn from the per-round stream.
-fn adversarial_distribute(qs: &mut [VecDeque<usize>], n: usize, rng: &mut AdversaryRng) {
-    let nw = qs.len();
-    match rng.below(4) {
-        0 => {
-            // Permuted stripes: Fisher–Yates shuffle of the task order
-            // before striping, so no worker sees ascending indices.
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                order.swap(i, rng.below(i + 1));
-            }
-            for (k, &t) in order.iter().enumerate() {
-                qs[k % nw].push_back(t);
-            }
-        }
-        1 => {
-            // All tasks on one victim queue: every other worker must
-            // steal (from the back, so the victim and thieves collide).
-            let victim = rng.below(nw);
-            for t in 0..n {
-                qs[victim].push_back(t);
-            }
-        }
-        2 => {
-            // Reversed drains: push_front makes each owner pop its
-            // stripe in descending task order while thieves steal
-            // ascending ones from the back.
-            for t in 0..n {
-                qs[t % nw].push_front(t);
-            }
-        }
-        _ => {
-            // Rotated chunks: contiguous chunks land on shifted owners,
-            // maximally unlike the striped default.
-            let rot = rng.below(nw);
-            let chunk = n.div_ceil(nw).max(1);
-            for t in 0..n {
-                qs[((t / chunk) + rot) % nw].push_back(t);
-            }
-        }
-    }
-}
-
-/// Pops the next task: own deque front first, then (work-stealing only)
-/// the back of the other workers' deques. Adversarial rounds may rotate
-/// the victim order (`steal_rot`) or steal before the own drain
-/// (`steal_first`).
-fn claim_task(round: &RoundState, me: usize, steals: &mut u64) -> Option<usize> {
-    let pop_own = |round: &RoundState| lock(&round.queues[me]).pop_front();
-    if !round.steal_first {
-        if let Some(t) = pop_own(round) {
-            return Some(t);
-        }
-    }
-    if round.policy == SchedPolicy::WorkSteal {
-        let nq = round.queues.len();
-        for off in 0..nq {
-            let victim = (me + round.steal_rot + off) % nq;
-            if victim == me {
-                continue;
-            }
-            if let Some(t) = lock(&round.queues[victim]).pop_back() {
-                *steals += 1;
-                return Some(t);
-            }
-        }
-    }
-    if round.steal_first {
-        if let Some(t) = pop_own(round) {
-            return Some(t);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WindowGrid;
+    use std::sync::{Arc, PoisonError, RwLock};
+    use std::thread::ThreadId;
+    use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
+    use vm1_obs::MetricsSink;
+    use vm1_place::{place, PlaceConfig};
+    use vm1_tech::{CellArch, Library};
+
+    /// Records the thread of each worker: every worker reports its
+    /// `TasksExecuted` gauge exactly once per round.
+    #[derive(Debug, Default)]
+    struct ThreadSink(RwLock<Vec<ThreadId>>);
+
+    impl MetricsSink for ThreadSink {
+        fn record_gauge(&self, gauge: SchedGauge, _value: u64) {
+            if gauge == SchedGauge::TasksExecuted {
+                let mut v = self.0.write().unwrap_or_else(PoisonError::into_inner);
+                v.push(std::thread::current().id());
+            }
+        }
+    }
+
+    struct Fixture {
+        design: Design,
+        rowmap: RowMap,
+        windows: Vec<Window>,
+        p: DistOptParams,
+    }
+
+    /// A placed design and its first diagonal set of windows.
+    fn fixture() -> Fixture {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let mut design = GeneratorConfig::profile(DesignProfile::M0)
+            .with_insts(160)
+            .generate(&lib, 5);
+        place(&mut design, &PlaceConfig::default(), 5);
+        let p = DistOptParams {
+            tx: 0,
+            ty: 0,
+            bw_sites: (design.sites_per_row / 4).max(10),
+            bh_rows: (design.num_rows / 4).max(2),
+            lx: 3,
+            ly: 1,
+            flip: false,
+        };
+        let grid = WindowGrid::partition(&design, p.tx, p.ty, p.bw_sites, p.bh_rows);
+        let windows = grid
+            .diagonal_sets()
+            .iter()
+            .max_by_key(|set| set.len())
+            .map(|set| set.iter().map(|&i| grid.windows[i]).collect())
+            .unwrap_or_default();
+        let rowmap = RowMap::build(&design);
+        Fixture {
+            design,
+            rowmap,
+            windows,
+            p,
+        }
+    }
+
+    /// Runs one round over `windows` with `threads`; returns the outcome
+    /// moves, the threads of the round's workers and the scratch count.
+    fn run(
+        f: &Fixture,
+        windows: &[Window],
+        threads: usize,
+        order: Option<&[usize]>,
+    ) -> (Vec<String>, Vec<ThreadId>, usize) {
+        let mut cfg = Vm1Config::closedm1();
+        cfg.threads = threads;
+        let sink = Arc::new(ThreadSink::default());
+        let metrics = MetricsHandle::of(sink.clone());
+        let mut scratch = Vec::new();
+        let outcomes = run_round(
+            &Round {
+                design: &f.design,
+                rowmap: &f.rowmap,
+                windows,
+                p: &f.p,
+                cfg: &cfg,
+                cache: None,
+                metrics: &metrics,
+                order,
+            },
+            &mut scratch,
+        );
+        let moves = outcomes.iter().map(|o| format!("{:?}", o.moves)).collect();
+        let threads = sink.0.read().unwrap_or_else(PoisonError::into_inner);
+        (moves, threads.clone(), scratch.len())
+    }
+
+    #[test]
+    fn more_threads_than_windows_spawns_one_worker_per_window() {
+        let f = fixture();
+        assert!(f.windows.len() >= 2, "fixture needs a multi-window round");
+        let (reference, _, _) = run(&f, &f.windows, 1, None);
+        let (moves, threads, scratch) = run(&f, &f.windows, f.windows.len() + 5, None);
+        assert_eq!(moves, reference, "outcomes are in window-index order");
+        assert_eq!(scratch, f.windows.len(), "one scratch per worker");
+        assert_eq!(threads.len(), f.windows.len(), "one worker per window");
+    }
+
+    #[test]
+    fn zero_window_round_returns_nothing() {
+        let f = fixture();
+        let (moves, threads, scratch) = run(&f, &[], 8, None);
+        assert!(moves.is_empty());
+        assert!(threads.is_empty(), "no worker ran");
+        assert_eq!(scratch, 0, "no scratch allocated");
+    }
+
+    #[test]
+    fn zero_threads_field_runs_on_the_caller() {
+        // `with_threads` rejects 0, but the field is public.
+        let f = fixture();
+        let (reference, _, _) = run(&f, &f.windows, 1, None);
+        let (moves, threads, scratch) = run(&f, &f.windows, 0, None);
+        assert_eq!(moves, reference);
+        assert_eq!(scratch, 1);
+        assert_eq!(
+            threads,
+            [std::thread::current().id()],
+            "every window solved on the caller"
+        );
+    }
 
     #[test]
     fn single_thread_pool_spawns_no_workers() {
-        let pool = WorkerPool::new(1, SchedPolicy::WorkSteal);
-        assert_eq!(pool.workers(), 0, "threads=1 runs inline");
+        let f = fixture();
+        let (_, threads, _) = run(&f, &f.windows, 1, None);
+        assert_eq!(
+            threads,
+            [std::thread::current().id()],
+            "threads=1 runs on the caller"
+        );
     }
 
     #[test]
     fn multi_thread_pool_spawns_and_joins_workers() {
-        let pool = WorkerPool::new(4, SchedPolicy::StaticChunk);
-        assert_eq!(pool.workers(), 4);
-        assert!(format!("{pool:?}").contains("StaticChunk"));
-        drop(pool); // must shut down and join without hanging
+        let f = fixture();
+        assert!(f.windows.len() >= 3, "fixture needs three windows");
+        let (reference, _, _) = run(&f, &f.windows, 1, None);
+        let (moves, threads, scratch) = run(&f, &f.windows, 3, None);
+        assert_eq!(moves, reference);
+        assert_eq!(scratch, 3);
+        // Three distinct workers, the caller among them, all joined by
+        // the time `run_round` returns.
+        assert_eq!(threads.len(), 3);
+        assert!(threads.contains(&std::thread::current().id()));
+        assert!((1..3).all(|i| !threads[..i].contains(&threads[i])));
     }
 
     #[test]
-    fn pool_survives_repeated_create_drop() {
-        for _ in 0..3 {
-            let pool = WorkerPool::new(2, SchedPolicy::WorkSteal);
-            assert_eq!(pool.workers(), 2);
+    fn permuted_claim_order_keeps_window_order() {
+        let f = fixture();
+        let (reference, _, _) = run(&f, &f.windows, 1, None);
+        let mut shuffle = ClaimShuffle::new(3);
+        for threads in [1, 3] {
+            let order = shuffle.order(f.windows.len());
+            let (moves, _, _) = run(&f, &f.windows, threads, Some(&order));
+            assert_eq!(moves, reference, "threads={threads} order={order:?}");
         }
     }
 
     #[test]
-    fn adversarial_pool_forces_work_stealing() {
-        let pool = WorkerPool::new_adversarial(4, 7);
-        assert_eq!(pool.workers(), 4);
-        assert_eq!(pool.policy, SchedPolicy::WorkSteal);
-        assert_eq!(pool.adversary, Some(7));
+    #[should_panic(expected = "index out of bounds")]
+    fn worker_panic_keeps_its_payload() {
+        // Every claim indexes past the windows, on the caller and the
+        // helper alike; the original panic message must survive.
+        let f = fixture();
+        let bad: Vec<usize> = vec![usize::MAX; f.windows.len()];
+        let _ = run(&f, &f.windows, 2, Some(&bad));
     }
 
     #[test]
     fn adversary_stream_is_deterministic_per_round() {
-        let draws = |seed, round| {
-            let mut rng = AdversaryRng::new(seed, round);
-            [rng.next(), rng.next(), rng.next()]
+        let orders = |seed| {
+            let mut s = ClaimShuffle::new(seed);
+            [s.order(23), s.order(23)]
         };
-        assert_eq!(draws(42, 0), draws(42, 0), "same (seed, round) replays");
-        assert_ne!(draws(42, 0), draws(42, 1), "rounds draw distinct streams");
-        assert_ne!(draws(42, 0), draws(43, 0), "seeds draw distinct streams");
-        // Seed 0 must not collapse the xorshift state to zero.
-        let mut zero = AdversaryRng::new(0, 0);
-        assert_ne!(zero.next(), 0);
+        let [first, second] = orders(42);
+        assert_eq!(
+            [first.clone(), second.clone()],
+            orders(42),
+            "same seed replays"
+        );
+        assert_ne!(first, second, "rounds draw distinct orders");
+        assert_ne!(orders(42), orders(43), "seeds draw distinct streams");
+        assert_ne!(ClaimShuffle::new(0).next(), 0, "seed 0 keeps a live state");
     }
 
     #[test]
     fn adversarial_distribution_covers_every_task_once() {
         for seed in 0..32u64 {
-            let mut rng = AdversaryRng::new(seed, 0);
-            let mut qs: Vec<VecDeque<usize>> = (0..4).map(|_| VecDeque::new()).collect();
-            adversarial_distribute(&mut qs, 23, &mut rng);
-            let mut seen: Vec<usize> = qs.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..23).collect::<Vec<_>>(), "seed {seed}");
+            let mut order = ClaimShuffle::new(seed).order(23);
+            order.sort_unstable();
+            assert_eq!(order, (0..23).collect::<Vec<_>>(), "seed {seed}");
         }
     }
 }

@@ -1,15 +1,16 @@
-//! Schedule-permutation model checking of the worker pool.
+//! Schedule-permutation model checking of the window rounds.
 //!
-//! `Vm1Optimizer::with_adversarial_sched(seed)` replays every round of
-//! window solving under a seeded worst-case interleaving: permuted task
-//! stripes, all tasks piled onto one victim queue (forcing every other
-//! worker to steal), reversed queue drains, rotated chunk assignments,
-//! randomized steal-victim rotation and steal-before-own-drain ordering.
-//! Because the scheduler writes each outcome into a slot indexed by the
-//! task number, none of that may reach the results: the DEF bytes and
-//! every telemetry counter must be bit-identical to a `--threads 1` run
-//! for *any* adversary seed. These tests check exactly that, over 100+
-//! fixed seeds plus proptest-drawn random ones.
+//! `Vm1Optimizer::with_adversarial_sched(seed)` permutes the order in
+//! which every round's workers claim windows from the shared cursor,
+//! drawing each round's permutation from a seeded xorshift stream. So
+//! windows are solved, and their outcomes written, in orders unlike the
+//! ascending default, spread over however many workers the round runs.
+//! Because each outcome goes into the slot of its window index and the
+//! committing thread drains the slots in window order, none of that may
+//! reach the results: the DEF bytes and every telemetry counter must be
+//! bit-identical to a `--threads 1` run for *any* seed. These tests
+//! check exactly that, over 110 fixed seeds plus proptest-drawn random
+//! ones.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -84,8 +85,8 @@ fn run_full(threads: usize, adversary: Option<u64>) -> (Vec<u8>, Vec<(&'static s
 
 #[test]
 fn hundred_adversarial_steal_orders_are_bit_identical() {
-    // The single-thread run is the reference semantics: no pool threads
-    // exist at all, so its result is schedule-free by construction.
+    // The single-thread run is the reference semantics: it spawns no
+    // thread and claims windows in ascending order.
     let (def_ref, counters_ref) = run_one_pass(1, None);
     for seed in 0..110u64 {
         let (def, counters) = run_one_pass(4, Some(seed));
@@ -105,7 +106,7 @@ fn full_runs_survive_adversarial_schedules() {
     let (def_ref, counters_ref) = run_full(1, None);
     // A full run exercises many rounds (several diagonal sets per pass,
     // several passes per iteration), so each seed already covers a long
-    // mixed sequence of adversary modes.
+    // sequence of permuted claim orders.
     for seed in [0u64, 1, 2, 17, 0xDEAD_BEEF, u64::MAX] {
         let (def, counters) = run_full(4, Some(seed));
         assert_eq!(def, def_ref, "DEF diverged under adversary seed {seed}");
@@ -114,15 +115,15 @@ fn full_runs_survive_adversarial_schedules() {
             "counters diverged under adversary seed {seed}"
         );
     }
-    // The normal 4-thread schedule agrees too, tying the adversary runs
-    // and the production scheduler to the same reference.
+    // The normal 4-thread round agrees too, tying the permuted runs and
+    // the production claim order to the same reference.
     let (def, counters) = run_full(4, None);
     assert_eq!(def, def_ref);
     assert_eq!(counters, counters_ref);
 }
 
 proptest! {
-    // Each case replays a full pass under a freshly drawn steal-order
+    // Each case replays a full pass under a freshly drawn claim-order
     // seed; the fixed-seed sweep above covers volume, this covers the
     // rest of the seed space.
     #![proptest_config(ProptestConfig::with_cases(8))]

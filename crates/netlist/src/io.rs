@@ -107,10 +107,11 @@ pub fn write_def(design: &Design) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ReadDefError`] on grammar violations, unknown references,
-/// architecture mismatch, or a missing `END` line
-/// ([`ReadDefError::Truncated`]). Connectivity is re-validated after
-/// parsing.
+/// Returns [`ReadDefError`] on grammar violations (including a repeated
+/// `CORE` line, a duplicate instance or port name, and a pin or port
+/// listed on two nets), unknown references, architecture mismatch, or a
+/// missing `END` line ([`ReadDefError::Truncated`]). Connectivity is
+/// re-validated after parsing. Malformed input never panics.
 pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     use std::collections::HashMap;
 
@@ -146,6 +147,11 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                 }
             }
             "CORE" => {
+                // A second CORE would rebuild the design under the ids
+                // already handed out for its ports and instances.
+                if design.is_some() {
+                    return Err(syntax(ln, "repeated CORE"));
+                }
                 let rows: i64 = parse_tok(&mut tok, ln, "rows")?;
                 let sites: i64 = parse_tok(&mut tok, ln, "sites")?;
                 core = Some((rows, sites));
@@ -163,6 +169,9 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                     Some("OUT") => PinDir::Out,
                     _ => return Err(syntax(ln, "PORT dir must be IN|OUT")),
                 };
+                if port_ids.contains_key(pname) {
+                    return Err(syntax(ln, &format!("duplicate port {pname}")));
+                }
                 let id = d.add_port(pname, Point::new(Dbu(x), Dbu(y)), dir);
                 port_ids.insert(pname.to_owned(), id);
             }
@@ -171,6 +180,9 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                     .as_mut()
                     .ok_or_else(|| syntax(ln, "INST before CORE"))?;
                 let iname = tok.next().ok_or_else(|| syntax(ln, "INST name"))?;
+                if inst_ids.contains_key(iname) {
+                    return Err(syntax(ln, &format!("duplicate inst {iname}")));
+                }
                 let cname = tok.next().ok_or_else(|| syntax(ln, "INST cell"))?;
                 let cell = library
                     .cell_index(cname)
@@ -203,6 +215,9 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                         let &pid = port_ids.get(pname).ok_or_else(|| {
                             ReadDefError::Unknown(ln + 1, format!("port {pname}"))
                         })?;
+                        if d.port(pid).net.is_some() {
+                            return Err(syntax(ln, &format!("port {pname} on two nets")));
+                        }
                         d.connect_port(pid, net);
                     } else if let Some(rest) = conn.strip_prefix("I:") {
                         let (iname, pin) = rest
@@ -211,6 +226,13 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                         let &iid = inst_ids.get(iname).ok_or_else(|| {
                             ReadDefError::Unknown(ln + 1, format!("inst {iname}"))
                         })?;
+                        let inst = d.inst(iid);
+                        let k = library.cell(inst.cell).pin_index(pin).ok_or_else(|| {
+                            ReadDefError::Unknown(ln + 1, format!("pin {iname}:{pin}"))
+                        })?;
+                        if inst.pin_nets[k].is_some() {
+                            return Err(syntax(ln, &format!("pin {iname}:{pin} on two nets")));
+                        }
                         d.connect(iid, pin, net);
                     } else {
                         return Err(syntax(ln, "conn must start with P: or I:"));
@@ -349,6 +371,77 @@ mod tests {
             + "\n"
             + lines[(inst + net) / 2].rsplit_once(' ').unwrap().0;
         assert!(read_def(&mid, &lib).is_err());
+    }
+
+    /// A small valid file; `net_line` replaces its single NET line.
+    fn tiny(net_line: &str) -> String {
+        format!(
+            "VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCORE 2 20\n\
+             PORT a 0 0 IN\nPORT z 0 0 OUT\n\
+             INST u0 INV_X1 0 0 N PLACED\nINST u1 INV_X1 4 0 N PLACED\n\
+             {net_line}\nEND\n"
+        )
+    }
+
+    #[test]
+    fn tiny_file_parses() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let d = read_def(&tiny("NET n0 P:a I:u0:A"), &lib).unwrap();
+        assert_eq!((d.num_ports(), d.num_insts(), d.num_nets()), (2, 2, 1));
+    }
+
+    #[test]
+    fn unknown_pin_of_known_inst_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        assert_eq!(
+            read_def(&tiny("NET n0 P:a I:u0:ZZZ"), &lib).err(),
+            Some(ReadDefError::Unknown(9, "pin u0:ZZZ".into()))
+        );
+    }
+
+    #[test]
+    fn inst_pin_on_two_nets_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let text = tiny("NET n0 P:a I:u0:A\nNET n1 I:u1:A I:u0:A");
+        assert!(matches!(
+            read_def(&text, &lib),
+            Err(ReadDefError::Syntax(10, m)) if m.contains("u0:A")
+        ));
+    }
+
+    #[test]
+    fn port_on_two_nets_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let text = tiny("NET n0 P:a I:u0:A\nNET n1 P:a I:u1:A");
+        assert!(matches!(
+            read_def(&text, &lib),
+            Err(ReadDefError::Syntax(10, m)) if m.contains("port a")
+        ));
+    }
+
+    #[test]
+    fn repeated_core_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let text = tiny("CORE 4 40\nNET n0 P:a I:u0:A");
+        assert!(matches!(
+            read_def(&text, &lib),
+            Err(ReadDefError::Syntax(9, m)) if m.contains("CORE")
+        ));
+    }
+
+    #[test]
+    fn duplicate_names_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let text = tiny("INST u0 INV_X1 8 1 N PLACED");
+        assert!(matches!(
+            read_def(&text, &lib),
+            Err(ReadDefError::Syntax(9, m)) if m.contains("inst u0")
+        ));
+        let text = tiny("PORT a 9 9 IN");
+        assert!(matches!(
+            read_def(&text, &lib),
+            Err(ReadDefError::Syntax(9, m)) if m.contains("port a")
+        ));
     }
 
     #[test]

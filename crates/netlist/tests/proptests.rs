@@ -98,3 +98,46 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Each case is a small design and two parses, so many are cheap.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn read_def_never_panics_on_cut_or_mutated_input(
+        n in 4usize..60,
+        seed in 0u64..10_000,
+        cut in 0.0f64..1.0,
+        truncate in 0u8..2,
+        mutations in proptest::collection::vec((0.0f64..1.0, 0u16..512), 0..6),
+    ) {
+        // Malformed VM1DEF must come back as `Err`, never as a panic;
+        // whatever still parses must survive a write/read round trip.
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let mut d = GeneratorConfig::profile(DesignProfile::M0)
+            .with_insts(n)
+            .generate(&lib, seed);
+        place(&mut d, &PlaceConfig::default(), seed);
+        let mut bytes = write_def(&d).into_bytes();
+        // Half the picks are raw bytes, half come from the format's own
+        // alphabet (digits, separators, name and keyword letters).
+        const ALPHABET: &[u8] = b"0123456789 :\n#-PINUZuAYn";
+        for (at, pick) in mutations {
+            let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+            bytes[i] = match pick {
+                0..=255 => pick as u8,
+                _ => ALPHABET[pick as usize % ALPHABET.len()],
+            };
+        }
+        if truncate == 1 {
+            bytes.truncate((cut * bytes.len() as f64) as usize);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(parsed) = read_def(&text, &lib) {
+            let canonical = write_def(&parsed);
+            let again = read_def(&canonical, &lib);
+            prop_assert!(again.is_ok(), "canonical form re-reads: {:?}", again.err());
+            prop_assert_eq!(write_def(&again.unwrap()), canonical);
+        }
+    }
+}

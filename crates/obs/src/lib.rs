@@ -297,15 +297,15 @@ impl Stage {
 /// How a gauge combines concurrent recordings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GaugeAgg {
-    /// Recordings add up (e.g. steal counts).
+    /// Recordings add up (e.g. tasks executed).
     Sum,
     /// Only the largest recording is kept (e.g. high-water marks).
     Max,
 }
 
-/// Scheduler observability gauges of the persistent `DistOpt` worker
-/// pool. Unlike [`Counter`] values, gauges are **scheduling-dependent**:
-/// steal counts and per-worker busy times vary run to run and with the
+/// Scheduler observability gauges of the `DistOpt` window rounds.
+/// Unlike [`Counter`] values, gauges are **scheduling-dependent**:
+/// per-worker task counts and busy times vary run to run and with the
 /// thread count, so they are kept out of the counter determinism
 /// contract (determinism tests compare counters, never gauges).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -314,10 +314,12 @@ pub enum SchedGauge {
     /// Largest number of window tasks enqueued for a single round
     /// (queue-depth high-water mark).
     QueueHighWater,
-    /// Successful steals of a window task from another worker's deque.
+    /// Window tasks stolen from another worker's deque. No longer
+    /// recorded: round workers claim windows from one shared cursor, so
+    /// nothing is stolen. Kept so readers of the gauge set still find it.
     Steals,
-    /// Window tasks executed by the pool workers (including the inline
-    /// single-thread path).
+    /// Window tasks executed by the round workers (the calling thread
+    /// included).
     TasksExecuted,
     /// Total busy time over all workers, in nanoseconds (time spent
     /// executing window tasks, excluding queue waits).
