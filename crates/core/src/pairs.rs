@@ -34,33 +34,44 @@ impl PinPairs {
 /// M1.
 #[must_use]
 pub fn alignable_pairs(design: &Design, cfg: &Vm1Config) -> PinPairs {
-    let arch = design.library().arch();
-    if !arch.allows_inter_row_m1() {
-        return PinPairs::default();
-    }
-    let want_layer = pin_layer(arch);
     let mut pairs = Vec::new();
-    for (net_id, net) in design.nets() {
-        if net.pins.len() > cfg.max_net_pins {
-            continue;
-        }
-        let cell_pins: Vec<PinRef> = net
-            .pins
-            .iter()
-            .filter_map(|&np| match np {
-                NetPin::Inst(pr) if design.macro_pin(pr).shape.layer == want_layer => Some(pr),
-                _ => None,
-            })
-            .collect();
-        for i in 0..cell_pins.len() {
-            for j in (i + 1)..cell_pins.len() {
-                if cell_pins[i].inst != cell_pins[j].inst {
-                    pairs.push((cell_pins[i], cell_pins[j], net_id));
-                }
-            }
+    if design.library().arch().allows_inter_row_m1() {
+        for (net_id, _) in design.nets() {
+            push_net_pairs(design, cfg, net_id, &mut pairs);
         }
     }
     PinPairs { pairs }
+}
+
+/// Appends the eligible pairs of net `net_id` to `out`, in the order
+/// [`alignable_pairs`] lists them. The caller checks that the
+/// architecture allows inter-row M1.
+pub(crate) fn push_net_pairs(
+    design: &Design,
+    cfg: &Vm1Config,
+    net_id: NetId,
+    out: &mut Vec<(PinRef, PinRef, NetId)>,
+) {
+    let net = design.net(net_id);
+    if net.pins.len() > cfg.max_net_pins {
+        return;
+    }
+    let want_layer = pin_layer(design.library().arch());
+    let cell_pins: Vec<PinRef> = net
+        .pins
+        .iter()
+        .filter_map(|&np| match np {
+            NetPin::Inst(pr) if design.macro_pin(pr).shape.layer == want_layer => Some(pr),
+            _ => None,
+        })
+        .collect();
+    for (i, &p) in cell_pins.iter().enumerate() {
+        for &q in &cell_pins[i + 1..] {
+            if p.inst != q.inst {
+                out.push((p, q, net_id));
+            }
+        }
+    }
 }
 
 /// The layer signal pins live on for each architecture.

@@ -10,14 +10,13 @@
 //! greedy — consumes this structure, which guarantees they optimize the
 //! identical objective.
 
-use crate::pairs::{alignable_pairs, pin_layer};
+use crate::pairs::push_net_pairs;
 use crate::window::Window;
 use crate::Vm1Config;
 use std::collections::{BTreeSet, HashMap};
 use vm1_geom::Orient;
 use vm1_netlist::{Design, InstId, NetId, NetPin, PinRef};
 use vm1_place::RowMap;
-use vm1_tech::CellArch;
 
 /// A candidate placement of one cell (one λ variable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -354,7 +353,7 @@ impl WindowProblem {
         net_ids.sort_unstable();
 
         let mut nets = Vec::with_capacity(net_ids.len());
-        for net_id in net_ids {
+        for &net_id in &net_ids {
             let mut fixed: Option<(i64, i64, i64, i64)> = None;
             let mut movable_pins = Vec::new();
             for &np in &design.net(net_id).pins {
@@ -397,12 +396,15 @@ impl WindowProblem {
         }
 
         // ---- pairs -------------------------------------------------------
+        // Only nets touching a movable cell can hold a pair with a movable
+        // end; `net_ids` is sorted, so this lists them in design order.
         let mut pairs = Vec::new();
         if arch.allows_inter_row_m1() {
-            let all = alignable_pairs(design, cfg);
-            let want_layer = pin_layer(arch);
-            let _ = want_layer;
-            for &(p, q, _net) in &all.pairs {
+            let mut net_pairs = Vec::new();
+            for &net_id in &net_ids {
+                push_net_pairs(design, cfg, net_id, &mut net_pairs);
+            }
+            for &(p, q, _net) in &net_pairs {
                 let pm = movable_set.get(&p.inst);
                 let qm = movable_set.get(&q.inst);
                 if pm.is_none() && qm.is_none() {
@@ -733,15 +735,12 @@ impl WindowProblem {
     }
 }
 
-// Keep the unused import warning away (CellArch used in signatures above).
-const _: fn(CellArch) -> bool = CellArch::allows_inter_row_m1;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vm1_netlist::generator::{DesignProfile, GeneratorConfig};
     use vm1_place::{place, PlaceConfig};
-    use vm1_tech::Library;
+    use vm1_tech::{CellArch, Library};
 
     fn setup(arch: CellArch) -> (Design, Vm1Config) {
         let lib = Library::synthetic_7nm(arch);
