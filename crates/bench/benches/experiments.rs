@@ -21,7 +21,7 @@ fn group<'a>(
 fn bench_fig5(c: &mut Criterion) {
     let mut g = group(c, "fig5_window_sweep");
     g.bench_function("expt_a1_smoke", |b| {
-        b.iter(|| black_box(expt_a1(ExperimentScale::Smoke)))
+        b.iter(|| black_box(expt_a1(ExperimentScale::Smoke)));
     });
     g.finish();
 }
@@ -29,7 +29,7 @@ fn bench_fig5(c: &mut Criterion) {
 fn bench_fig6(c: &mut Criterion) {
     let mut g = group(c, "fig6_alpha_sweep");
     g.bench_function("expt_a2_smoke_closedm1", |b| {
-        b.iter(|| black_box(expt_a2(ExperimentScale::Smoke, CellArch::ClosedM1)))
+        b.iter(|| black_box(expt_a2(ExperimentScale::Smoke, CellArch::ClosedM1)));
     });
     g.finish();
 }
@@ -37,7 +37,7 @@ fn bench_fig6(c: &mut Criterion) {
 fn bench_fig7(c: &mut Criterion) {
     let mut g = group(c, "fig7_sequences");
     g.bench_function("expt_a3_smoke", |b| {
-        b.iter(|| black_box(expt_a3(ExperimentScale::Smoke)))
+        b.iter(|| black_box(expt_a3(ExperimentScale::Smoke)));
     });
     g.finish();
 }
@@ -45,10 +45,10 @@ fn bench_fig7(c: &mut Criterion) {
 fn bench_table2(c: &mut Criterion) {
     let mut g = group(c, "table2");
     g.bench_function("expt_b_smoke_closedm1", |b| {
-        b.iter(|| black_box(expt_b(ExperimentScale::Smoke, CellArch::ClosedM1)))
+        b.iter(|| black_box(expt_b(ExperimentScale::Smoke, CellArch::ClosedM1)));
     });
     g.bench_function("expt_b_smoke_openm1", |b| {
-        b.iter(|| black_box(expt_b(ExperimentScale::Smoke, CellArch::OpenM1)))
+        b.iter(|| black_box(expt_b(ExperimentScale::Smoke, CellArch::OpenM1)));
     });
     g.finish();
 }
@@ -56,7 +56,7 @@ fn bench_table2(c: &mut Criterion) {
 fn bench_fig8(c: &mut Criterion) {
     let mut g = group(c, "fig8_drv_vs_util");
     g.bench_function("expt_fig8_smoke", |b| {
-        b.iter(|| black_box(expt_fig8(ExperimentScale::Smoke)))
+        b.iter(|| black_box(expt_fig8(ExperimentScale::Smoke)));
     });
     g.finish();
 }

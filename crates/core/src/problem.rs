@@ -90,9 +90,6 @@ pub struct LocalPair {
     pub a: End,
     /// Second endpoint.
     pub b: End,
-    /// Largest bonus this pair can contribute (α + ε·max overlap), used
-    /// for admissible pruning.
-    pub max_bonus: f64,
 }
 
 /// The window subproblem. See the module docs.
@@ -426,11 +423,7 @@ impl WindowProblem {
                 };
                 let a = mk_end(p, pm, &mut slot_of, &mut slot_pins);
                 let b = mk_end(q, qm, &mut slot_of, &mut slot_pins);
-                pairs.push(LocalPair {
-                    a,
-                    b,
-                    max_bonus: 0.0, // filled after pin_geo is computed
-                });
+                pairs.push(LocalPair { a, b });
             }
         }
 
@@ -474,55 +467,25 @@ impl WindowProblem {
         prob
     }
 
-    /// Computes each pair's maximum achievable bonus and drops pairs that
-    /// can never align under any candidate combination.
+    /// Drops pairs that can never align under any candidate combination
+    /// (coarse O(|A|·|B|) scan; window candidate counts are small).
     fn finalize_pairs(&mut self) {
-        let cells = &self.cells;
-        let pin_geo = &self.pin_geo;
-        let gamma_span = self.gamma_span;
-        let delta = self.delta;
-        let exact = self.exact;
-        let alpha = self.alpha;
-        let epsilon = self.epsilon;
         let geos_of = |e: &End| -> Vec<PinGeo> {
             match *e {
                 End::Fixed(g) => vec![g],
-                End::Movable { cell, slot } => (0..cells[cell].cands.len())
-                    .map(|k| pin_geo[cell][k][slot])
+                End::Movable { cell, slot } => (0..self.cells[cell].cands.len())
+                    .map(|k| self.pin_geo[cell][k][slot])
                     .collect(),
             }
         };
-        self.pairs.retain_mut(|pair| {
-            let ga = geos_of(&pair.a);
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.retain(|pair| {
             let gb = geos_of(&pair.b);
-            // Feasibility and max bonus over candidate combinations
-            // (coarse O(|A|·|B|) scan; window candidate counts are small).
-            let mut best: Option<i64> = None;
-            for a in &ga {
-                for b in &gb {
-                    if (a.y - b.y).abs() > gamma_span {
-                        continue;
-                    }
-                    if exact {
-                        if a.x == b.x {
-                            best = Some(best.unwrap_or(0).max(0));
-                        }
-                    } else {
-                        let ov = a.x_hi.min(b.x_hi) - a.x_lo.max(b.x_lo);
-                        if ov >= delta {
-                            best = Some(best.unwrap_or(0).max(ov - delta));
-                        }
-                    }
-                }
-            }
-            match best {
-                Some(ov) => {
-                    pair.max_bonus = alpha + epsilon * ov as f64;
-                    true
-                }
-                None => false,
-            }
+            geos_of(&pair.a)
+                .iter()
+                .any(|&a| gb.iter().any(|&b| self.alignment(a, b).is_some()))
         });
+        self.pairs = pairs;
     }
 
     /// The assignment representing the unperturbed input placement.
@@ -616,22 +579,22 @@ impl WindowProblem {
 
     /// Bonus of two endpoints at pin geometries `a` and `b`.
     pub(crate) fn geo_bonus(&self, a: PinGeo, b: PinGeo) -> f64 {
+        self.alignment(a, b)
+            .map_or(0.0, |ov| self.alpha + self.epsilon * ov as f64)
+    }
+
+    /// Whether endpoints at `a` and `b` connect on vertical M1: within
+    /// γ·H, and x-equal (ClosedM1) or overlapping by at least δ (OpenM1).
+    /// Returns the overlap beyond δ (0 for ClosedM1) when they do.
+    fn alignment(&self, a: PinGeo, b: PinGeo) -> Option<i64> {
         if (a.y - b.y).abs() > self.gamma_span {
-            return 0.0;
+            return None;
         }
         if self.exact {
-            if a.x == b.x {
-                self.alpha
-            } else {
-                0.0
-            }
+            (a.x == b.x).then_some(0)
         } else {
             let ov = a.x_hi.min(b.x_hi) - a.x_lo.max(b.x_lo);
-            if ov >= self.delta {
-                self.alpha + self.epsilon * (ov - self.delta) as f64
-            } else {
-                0.0
-            }
+            (ov >= self.delta).then(|| ov - self.delta)
         }
     }
 
@@ -871,8 +834,19 @@ mod tests {
         let prob =
             WindowProblem::build(&d, &rm, win, &movable, 3, 1, false, &cfg, &Overrides::new());
         assert!(!prob.pairs.is_empty());
+        // Every kept pair aligns under some candidate combination, and
+        // then earns at least α (OpenM1 adds ε per nm beyond δ).
+        let geos = |e: &End| match *e {
+            End::Fixed(g) => vec![g],
+            End::Movable { cell, slot } => prob.pin_geo[cell].iter().map(|g| g[slot]).collect(),
+        };
         for p in &prob.pairs {
-            assert!(p.max_bonus >= cfg.alpha);
+            let best = geos(&p.a)
+                .iter()
+                .flat_map(|&a| geos(&p.b).into_iter().map(move |b| (a, b)))
+                .map(|(a, b)| prob.geo_bonus(a, b))
+                .fold(0.0, f64::max);
+            assert!(best >= cfg.alpha);
         }
     }
 

@@ -293,6 +293,121 @@ impl Incidence {
     }
 }
 
+/// A pair's share of the bound, held by the one cell that owns it: the
+/// end the search order assigns last, or the only movable end.
+#[derive(Clone, Copy)]
+struct OwnedPair {
+    /// The owner's pin slot on the pair.
+    slot: usize,
+    /// The other end's `(cell, slot)` when it is movable.
+    partner: Option<(usize, usize)>,
+    /// Offset of the owner's candidate 0 in [`Relaxation::reach`].
+    reach: usize,
+}
+
+/// The cell-separable relaxation behind the DFS bound. Every pair and
+/// every net is owned by one cell (its movable end or pin assigned last
+/// in the search order), so each unassigned cell can take its own best
+/// legal candidate for what it owns, independently of the others, without
+/// crediting anything twice. Static per solve.
+struct Relaxation {
+    /// Per cell: its position in the search order.
+    pos: Vec<usize>,
+    /// Per cell: its range of `pairs`.
+    cell_pairs: Vec<Range<usize>>,
+    pairs: Vec<OwnedPair>,
+    /// Per owned pair, per owner candidate: the bonus against a fixed
+    /// partner, or the best bonus over every candidate of a movable one.
+    reach: Vec<f64>,
+    /// Per cell: its range of `nets`.
+    cell_nets: Vec<Range<usize>>,
+    /// Indices into [`Incidence::nets`] of the nets each cell owns.
+    nets: Vec<usize>,
+}
+
+impl Relaxation {
+    fn build(prob: &WindowProblem, inc: &Incidence, order: &[usize]) -> Relaxation {
+        let n = prob.cells.len();
+        let mut pos = vec![0; n];
+        for (d, &c) in order.iter().enumerate() {
+            pos[c] = d;
+        }
+        // Per cell: `(pair, share)` of each pair it owns; the reach offsets
+        // are set below.
+        let mut per_cell: Vec<Vec<(usize, OwnedPair)>> = vec![Vec::new(); n];
+        for (pi, pair) in prob.pairs.iter().enumerate() {
+            let (cell, slot, partner) = match (pair.a, pair.b) {
+                (End::Movable { cell: a, slot: sa }, End::Movable { cell: b, slot: sb }) => {
+                    if pos[a] >= pos[b] {
+                        (a, sa, Some((b, sb)))
+                    } else {
+                        (b, sb, Some((a, sa)))
+                    }
+                }
+                (End::Movable { cell, slot }, End::Fixed(_))
+                | (End::Fixed(_), End::Movable { cell, slot }) => (cell, slot, None),
+                (End::Fixed(_), End::Fixed(_)) => continue,
+            };
+            let share = OwnedPair {
+                slot,
+                partner,
+                reach: 0,
+            };
+            per_cell[cell].push((pi, share));
+        }
+        let mut rx = Relaxation {
+            pos,
+            cell_pairs: Vec::with_capacity(n),
+            pairs: Vec::new(),
+            reach: Vec::new(),
+            cell_nets: Vec::with_capacity(n),
+            nets: Vec::new(),
+        };
+        for (cell, owned) in per_cell.into_iter().enumerate() {
+            let start = rx.pairs.len();
+            for (pi, mut share) in owned {
+                let fixed = match (prob.pairs[pi].a, prob.pairs[pi].b) {
+                    (End::Fixed(g), _) | (_, End::Fixed(g)) => Some(g),
+                    _ => None,
+                };
+                share.reach = rx.reach.len();
+                for k in 0..prob.cells[cell].cands.len() {
+                    let own = inc.geo(cell, k)[share.slot];
+                    rx.reach.push(match (fixed, share.partner) {
+                        (Some(g), _) => prob.geo_bonus(own, g),
+                        (None, Some((pc, ps))) => (0..prob.cells[pc].cands.len())
+                            .map(|kp| prob.geo_bonus(own, inc.geo(pc, kp)[ps]))
+                            .fold(0.0, f64::max),
+                        (None, None) => 0.0,
+                    });
+                }
+                rx.pairs.push(share);
+            }
+            rx.cell_pairs.push(start..rx.pairs.len());
+        }
+        let owner: Vec<Option<usize>> = prob
+            .nets
+            .iter()
+            .map(|net| {
+                net.movable
+                    .iter()
+                    .map(|&(c, _)| c)
+                    .max_by_key(|&c| rx.pos[c])
+            })
+            .collect();
+        for cell in 0..n {
+            let start = rx.nets.len();
+            rx.nets.extend(
+                inc.cell_nets[cell]
+                    .clone()
+                    .filter(|&j| owner[inc.nets[j].net] == Some(cell)),
+            );
+            rx.cell_nets.push(start..rx.nets.len());
+        }
+        rx
+    }
+}
+
 /// Per-row occupancy bitmask of the cells placed on the current search
 /// path: bit `s` of row `r` is site `site0 + s` of row `row0 + r`, and a
 /// row spans `words` 64-bit words. Placed spans never overlap, so set and
@@ -365,6 +480,7 @@ impl RowBits {
 struct DfsState<'a> {
     prob: &'a WindowProblem,
     inc: Incidence,
+    rx: Relaxation,
     /// Cell order (most constrained first).
     order: Vec<usize>,
     assign: Vec<usize>,
@@ -374,8 +490,6 @@ struct DfsState<'a> {
     max_nodes: usize,
     /// Per pair: number of movable, not-yet-assigned endpoints.
     pair_open: Vec<u8>,
-    /// Sum of max_bonus over open pairs (admissible bonus bound).
-    open_bonus: f64,
     /// Bonus collected from decided pairs.
     done_bonus: f64,
     /// Per net: current bbox (fixed ∪ assigned pins) and its HPWL.
@@ -407,7 +521,6 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
         pair_open[pi] += 1;
     }
 
-    let open_bonus: f64 = prob.pairs.iter().map(|p| p.max_bonus).sum();
     let net_bb: Vec<BBox> = prob.nets.iter().map(|nt| BBox::of(nt.fixed)).collect();
     let hpwl_partial: f64 = prob
         .nets
@@ -423,6 +536,7 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
         .iter()
         .map(|&c| Vec::with_capacity(prob.cells[c].cands.len()))
         .collect();
+    let rx = Relaxation::build(prob, &inc, &order);
 
     let mut st = DfsState {
         prob,
@@ -433,7 +547,6 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
         nodes: 0,
         max_nodes,
         pair_open,
-        open_bonus,
         done_bonus: 0.0,
         net_bb,
         hpwl_partial,
@@ -442,6 +555,7 @@ fn dfs_solve_counted(prob: &WindowProblem, max_nodes: usize) -> (Vec<usize>, usi
         undo_bb: Vec::with_capacity(inc.nets.len()),
         undo_pairs: Vec::with_capacity(inc.pairs.len()),
         inc,
+        rx,
     };
     dfs_recurse(&mut st, 0);
     (st.best_assign, st.nodes)
@@ -501,24 +615,24 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
         for &pi in &st.inc.pairs[st.inc.cell_pairs[cell].clone()] {
             st.pair_open[pi] -= 1;
             if st.pair_open[pi] == 0 {
-                // Pair decided: replace potential with actual bonus.
+                // Pair decided: collect its bonus.
                 let actual = st.inc.pair_bonus(prob, pi, &st.assign, cell, k);
-                st.open_bonus -= prob.pairs[pi].max_bonus;
                 st.done_bonus += actual;
                 st.undo_pairs.push((pi, actual));
             }
         }
 
         // ---- bound & recurse ---------------------------------------------
-        let bound = st.hpwl_partial - st.done_bonus - st.open_bonus;
-        if bound < st.best_obj - 1e-9 {
-            dfs_recurse(st, depth + 1);
+        if let Some(credit) = open_credit(st, depth + 1) {
+            let bound = st.hpwl_partial - st.done_bonus - credit;
+            if bound < st.best_obj - 1e-9 {
+                dfs_recurse(st, depth + 1);
+            }
         }
 
         // ---- undo ---------------------------------------------------------
-        for (pi, actual) in st.undo_pairs.drain(pairs_base..).rev() {
+        for (_, actual) in st.undo_pairs.drain(pairs_base..).rev() {
             st.done_bonus -= actual;
-            st.open_bonus += prob.pairs[pi].max_bonus;
         }
         for &pi in &st.inc.pairs[st.inc.cell_pairs[cell].clone()] {
             st.pair_open[pi] += 1;
@@ -531,6 +645,52 @@ fn dfs_recurse(st: &mut DfsState<'_>, depth: usize) {
     }
     st.assign[cell] = mc.current;
     st.cand_bufs[depth] = cand_order;
+}
+
+/// The most the cells `order[depth..]` (all unassigned) can still take
+/// off the objective: per cell, the best over its candidates that clash
+/// with no assigned cell of the bonus of the pairs it owns minus the
+/// weighted HPWL growth of the nets it owns; `None` if some cell has no
+/// such candidate. Admissible: each pair and net is credited to one cell,
+/// each cell to one candidate, and a net's box only grows.
+fn open_credit(st: &DfsState<'_>, depth: usize) -> Option<f64> {
+    let (prob, inc, rx) = (st.prob, &st.inc, &st.rx);
+    let mut credit = 0.0;
+    for &cell in &st.order[depth..] {
+        let mc = &prob.cells[cell];
+        let pairs = &rx.pairs[rx.cell_pairs[cell].clone()];
+        let nets = &rx.nets[rx.cell_nets[cell].clone()];
+        let mut best = None::<f64>;
+        for (k, cand) in mc.cands.iter().enumerate() {
+            if st
+                .occupied
+                .clashes(cand.row, cand.site, cand.site + mc.width)
+            {
+                continue;
+            }
+            let geo = inc.geo(cell, k);
+            let mut v = 0.0;
+            for op in pairs {
+                v += match op.partner {
+                    Some((pc, ps)) if rx.pos[pc] < depth => {
+                        prob.geo_bonus(geo[op.slot], inc.geo(pc, st.assign[pc])[ps])
+                    }
+                    _ => rx.reach[op.reach + k],
+                };
+            }
+            for &j in nets {
+                let ni = &inc.nets[j];
+                let bb = st.net_bb[ni.net];
+                v -= bb
+                    .grow(geo, &inc.slots[ni.slots.clone()])
+                    .weighted_hpwl(ni.weight)
+                    - bb.weighted_hpwl(ni.weight);
+            }
+            best = Some(best.map_or(v, |b| b.max(v)));
+        }
+        credit += best?;
+    }
+    Some(credit)
 }
 
 /// Heuristic per-candidate score used only for move ordering.
@@ -607,6 +767,21 @@ mod tests {
     use vm1_tech::{CellArch, Library};
 
     fn problem(arch: CellArch, n_cells: usize, seed: u64) -> WindowProblem {
+        problem_at(arch, n_cells, seed, 0, (2, 1, false))
+    }
+
+    /// Up to `n_cells` movable cells of a 36-site × 4-row window at site
+    /// `site0` of a placed 200-inst m0 design, with displacement `lx`/`ly`
+    /// and flip setting `flip`. Cells are picked in window order, each
+    /// next one sharing a net with those already picked where possible,
+    /// so the window holds pairs between movable cells.
+    fn problem_at(
+        arch: CellArch,
+        n_cells: usize,
+        seed: u64,
+        site0: i64,
+        (lx, ly, flip): (i64, i64, bool),
+    ) -> WindowProblem {
         let lib = Library::synthetic_7nm(arch);
         let mut d = GeneratorConfig::profile(DesignProfile::M0)
             .with_insts(200)
@@ -618,26 +793,47 @@ mod tests {
             Vm1Config::closedm1()
         };
         let rm = RowMap::build(&d);
+        let w_sites = d.sites_per_row.min(36);
         let win = Window {
-            site0: 0,
+            site0: site0.min(d.sites_per_row - w_sites),
             row0: 0,
-            w_sites: d.sites_per_row.min(36),
+            w_sites,
             h_rows: d.num_rows.min(4),
         };
-        let movable: Vec<_> = WindowProblem::movable_in_window(&d, &rm, &win, &Overrides::new())
-            .into_iter()
-            .take(n_cells)
-            .collect();
-        WindowProblem::build(&d, &rm, win, &movable, 2, 1, false, &cfg, &Overrides::new())
+        let mut rest = WindowProblem::movable_in_window(&d, &rm, &win, &Overrides::new());
+        let mut movable = Vec::new();
+        let mut nets = Vec::new();
+        while movable.len() < n_cells && !rest.is_empty() {
+            let next = rest
+                .iter()
+                .position(|&id| d.inst_nets(id).iter().any(|n| nets.contains(n)))
+                .unwrap_or(0);
+            let id = rest.remove(next);
+            nets.extend(d.inst_nets(id));
+            movable.push(id);
+        }
+        WindowProblem::build(
+            &d,
+            &rm,
+            win,
+            &movable,
+            lx,
+            ly,
+            flip,
+            &cfg,
+            &Overrides::new(),
+        )
     }
 
-    /// Exhaustive optimum by enumerating all legal assignments.
+    /// Exhaustive optimum over all legal assignments (partial assignments
+    /// that already overlap are cut, nothing else).
     fn brute_force(prob: &WindowProblem) -> f64 {
         fn rec(prob: &WindowProblem, assign: &mut Vec<usize>, cell: usize, best: &mut f64) {
+            if !prob.is_legal(&assign[..cell]) {
+                return;
+            }
             if cell == prob.cells.len() {
-                if prob.is_legal(assign) {
-                    *best = best.min(prob.eval(assign));
-                }
+                *best = best.min(prob.eval(assign));
                 return;
             }
             for k in 0..prob.cells[cell].cands.len() {
@@ -651,6 +847,19 @@ mod tests {
         best
     }
 
+    /// Asserts that the uncapped DFS returns a legal assignment with the
+    /// brute-force optimum.
+    fn assert_dfs_exact(prob: &WindowProblem, what: &str) {
+        let expect = brute_force(prob);
+        let got = dfs_solve(prob, usize::MAX);
+        assert!(prob.is_legal(&got), "{what}: dfs assignment legal");
+        assert!(
+            (prob.eval(&got) - expect).abs() < 1e-6,
+            "{what}: dfs {} vs brute {expect}",
+            prob.eval(&got)
+        );
+    }
+
     #[test]
     fn dfs_on_empty_window_returns_empty() {
         let prob = problem(CellArch::ClosedM1, 0, 1);
@@ -660,19 +869,40 @@ mod tests {
 
     #[test]
     fn dfs_matches_brute_force() {
-        for seed in [1, 2, 3] {
-            let prob = problem(CellArch::ClosedM1, 3, seed);
-            if prob.cells.len() < 2 {
-                continue;
+        // Both architectures, with and without flipping, 4- and 5-cell
+        // windows: a bound that prunes a subtree holding the optimum
+        // fails here.
+        for arch in [CellArch::ClosedM1, CellArch::OpenM1] {
+            for flip in [false, true] {
+                for seed in 1..=10 {
+                    let cells = 4 + (seed % 2) as usize;
+                    let displace = if flip { (1, 1, true) } else { (2, 1, false) };
+                    let prob = problem_at(arch, cells, seed, 0, displace);
+                    assert!(prob.cells.len() >= 4, "{arch} seed {seed}: full window");
+                    assert_dfs_exact(&prob, &format!("{arch} flip {flip} seed {seed}"));
+                }
             }
-            let expect = brute_force(&prob);
-            let got = dfs_solve(&prob, 1_000_000);
-            assert!(prob.is_legal(&got));
-            assert!(
-                (prob.eval(&got) - expect).abs() < 1e-6,
-                "seed {seed}: dfs {} vs brute {expect}",
-                prob.eval(&got)
-            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dfs_equals_brute_force_on_random_windows(
+            open in 0u8..2,
+            seed in 0u64..1_000,
+            cells in 2usize..6,
+            site0 in 0i64..40,
+            lx in 0i64..5,
+            ly in 0i64..2,
+            flip in 0u8..2,
+        ) {
+            let arch = [CellArch::ClosedM1, CellArch::OpenM1][open as usize];
+            let prob = problem_at(arch, cells, seed, site0, (lx, ly, flip == 1));
+            let leaves: usize = prob.cells.iter().map(|c| c.cands.len()).product();
+            proptest::prop_assume!(!prob.cells.is_empty() && leaves <= 300_000);
+            assert_dfs_exact(&prob, &format!("{arch} seed {seed} cells {cells} at {site0}"));
         }
     }
 

@@ -160,6 +160,7 @@ impl<M> BenchmarkGroup<'_, M> {
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
+        /// Runs every benchmark target of this group.
         pub fn $name() {
             let mut criterion = $crate::Criterion::default();
             $($target(&mut criterion);)+

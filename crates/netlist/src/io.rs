@@ -10,11 +10,16 @@
 //! DESIGN aes_like
 //! ARCH ClosedM1
 //! CORE <num_rows> <sites_per_row>
+//! COUNTS <ports> <insts> <nets>
 //! PORT <name> <x_nm> <y_nm> <IN|OUT>
 //! INST <name> <cell> <site> <row> <N|FN> <PLACED|FIXED>
 //! NET <name> <conn> <conn> ...      # conn = P:<port> | I:<inst>:<pin>
 //! END
 //! ```
+//!
+//! `COUNTS` declares how many `PORT`, `INST` and `NET` lines follow, so a
+//! file that lost whole lines is rejected even when its `END` survived.
+//! Nothing but comments and blank lines may follow `END`.
 
 use crate::{Design, DesignError, NetPin};
 use std::error::Error;
@@ -35,6 +40,14 @@ pub enum ReadDefError {
     Invalid(DesignError),
     /// The text ends before the closing `END` line (a cut-off file).
     Truncated,
+    /// The `PORT`/`INST`/`NET` lines do not match the `COUNTS` line: as
+    /// `[ports, insts, nets]`, what the file declares and what it holds.
+    CountMismatch {
+        /// The counts on the `COUNTS` line.
+        declared: [usize; 3],
+        /// The counts of lines read.
+        found: [usize; 3],
+    },
 }
 
 impl fmt::Display for ReadDefError {
@@ -47,6 +60,10 @@ impl fmt::Display for ReadDefError {
             }
             ReadDefError::Invalid(e) => write!(f, "invalid design: {e}"),
             ReadDefError::Truncated => write!(f, "truncated file: no END line"),
+            ReadDefError::CountMismatch { declared, found } => write!(
+                f,
+                "COUNTS declares {declared:?} ports/insts/nets, the file holds {found:?}"
+            ),
         }
     }
 }
@@ -63,6 +80,12 @@ pub fn write_def(design: &Design) -> String {
     out.push_str(&format!(
         "CORE {} {}\n",
         design.num_rows, design.sites_per_row
+    ));
+    out.push_str(&format!(
+        "COUNTS {} {} {}\n",
+        design.num_ports(),
+        design.num_insts(),
+        design.num_nets()
     ));
     for (_, p) in design.ports() {
         let dir = if p.dir == PinDir::In { "IN" } else { "OUT" };
@@ -108,9 +131,11 @@ pub fn write_def(design: &Design) -> String {
 /// # Errors
 ///
 /// Returns [`ReadDefError`] on grammar violations (including a repeated
-/// `CORE` line, a duplicate instance or port name, and a pin or port
-/// listed on two nets), unknown references, architecture mismatch, or a
-/// missing `END` line ([`ReadDefError::Truncated`]). Connectivity is
+/// `CORE` or `COUNTS` line, a missing `COUNTS` line, a line after `END`,
+/// a duplicate instance or port name, and a pin or port listed on two
+/// nets), unknown references, architecture mismatch, a missing `END` line
+/// ([`ReadDefError::Truncated`]), or section sizes that differ from the
+/// `COUNTS` line ([`ReadDefError::CountMismatch`]). Connectivity is
 /// re-validated after parsing. Malformed input never panics.
 pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     use std::collections::HashMap;
@@ -119,7 +144,7 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
     let mut name = String::from("unnamed");
     let mut port_ids: HashMap<String, crate::PortId> = HashMap::new();
     let mut inst_ids: HashMap<String, crate::InstId> = HashMap::new();
-    let mut core: Option<(i64, i64)> = None;
+    let mut counts: Option<[usize; 3]> = None;
     let mut ended = false;
 
     let syntax = |ln: usize, m: &str| ReadDefError::Syntax(ln + 1, m.to_owned());
@@ -129,11 +154,24 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        if ended {
+            return Err(syntax(ln, "line after END"));
+        }
         let mut tok = line.split_whitespace();
         let kw = tok.next().unwrap_or_default();
         match kw {
             "VM1DEF" => {}
-            "END" => ended = true,
+            "END" => {
+                // COUNTS is accepted only after CORE, so both are set here.
+                let (Some(declared), Some(d)) = (counts, &design) else {
+                    return Err(syntax(ln, "END before COUNTS"));
+                };
+                let found = [d.num_ports(), d.num_insts(), d.num_nets()];
+                if found != declared {
+                    return Err(ReadDefError::CountMismatch { declared, found });
+                }
+                ended = true;
+            }
             "DESIGN" => {
                 name = tok
                     .next()
@@ -154,8 +192,20 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
                 }
                 let rows: i64 = parse_tok(&mut tok, ln, "rows")?;
                 let sites: i64 = parse_tok(&mut tok, ln, "sites")?;
-                core = Some((rows, sites));
                 design = Some(Design::new(&name, library.clone(), rows, sites));
+            }
+            "COUNTS" => {
+                if design.is_none() {
+                    return Err(syntax(ln, "COUNTS before CORE"));
+                }
+                if counts.is_some() {
+                    return Err(syntax(ln, "repeated COUNTS"));
+                }
+                counts = Some([
+                    parse_tok(&mut tok, ln, "port count")?,
+                    parse_tok(&mut tok, ln, "inst count")?,
+                    parse_tok(&mut tok, ln, "net count")?,
+                ]);
             }
             "PORT" => {
                 let d = design
@@ -247,7 +297,6 @@ pub fn read_def(text: &str, library: &Library) -> Result<Design, ReadDefError> {
         return Err(ReadDefError::Truncated);
     }
     let d = design.ok_or_else(|| syntax(0, "missing CORE section"))?;
-    let _ = core;
     d.validate_connectivity().map_err(ReadDefError::Invalid)?;
     Ok(d)
 }
@@ -376,7 +425,7 @@ mod tests {
     /// A small valid file; `net_line` replaces its single NET line.
     fn tiny(net_line: &str) -> String {
         format!(
-            "VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCORE 2 20\n\
+            "VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCORE 2 20\nCOUNTS 2 2 1\n\
              PORT a 0 0 IN\nPORT z 0 0 OUT\n\
              INST u0 INV_X1 0 0 N PLACED\nINST u1 INV_X1 4 0 N PLACED\n\
              {net_line}\nEND\n"
@@ -395,7 +444,7 @@ mod tests {
         let lib = Library::synthetic_7nm(CellArch::ClosedM1);
         assert_eq!(
             read_def(&tiny("NET n0 P:a I:u0:ZZZ"), &lib).err(),
-            Some(ReadDefError::Unknown(9, "pin u0:ZZZ".into()))
+            Some(ReadDefError::Unknown(10, "pin u0:ZZZ".into()))
         );
     }
 
@@ -405,7 +454,7 @@ mod tests {
         let text = tiny("NET n0 P:a I:u0:A\nNET n1 I:u1:A I:u0:A");
         assert!(matches!(
             read_def(&text, &lib),
-            Err(ReadDefError::Syntax(10, m)) if m.contains("u0:A")
+            Err(ReadDefError::Syntax(11, m)) if m.contains("u0:A")
         ));
     }
 
@@ -415,7 +464,7 @@ mod tests {
         let text = tiny("NET n0 P:a I:u0:A\nNET n1 P:a I:u1:A");
         assert!(matches!(
             read_def(&text, &lib),
-            Err(ReadDefError::Syntax(10, m)) if m.contains("port a")
+            Err(ReadDefError::Syntax(11, m)) if m.contains("port a")
         ));
     }
 
@@ -425,7 +474,7 @@ mod tests {
         let text = tiny("CORE 4 40\nNET n0 P:a I:u0:A");
         assert!(matches!(
             read_def(&text, &lib),
-            Err(ReadDefError::Syntax(9, m)) if m.contains("CORE")
+            Err(ReadDefError::Syntax(10, m)) if m.contains("CORE")
         ));
     }
 
@@ -435,21 +484,77 @@ mod tests {
         let text = tiny("INST u0 INV_X1 8 1 N PLACED");
         assert!(matches!(
             read_def(&text, &lib),
-            Err(ReadDefError::Syntax(9, m)) if m.contains("inst u0")
+            Err(ReadDefError::Syntax(10, m)) if m.contains("inst u0")
         ));
         let text = tiny("PORT a 9 9 IN");
         assert!(matches!(
             read_def(&text, &lib),
-            Err(ReadDefError::Syntax(9, m)) if m.contains("port a")
+            Err(ReadDefError::Syntax(10, m)) if m.contains("port a")
         ));
     }
 
     #[test]
     fn comments_and_blank_lines_ignored() {
         let lib = Library::synthetic_7nm(CellArch::ClosedM1);
-        let txt = "VM1DEF 1\n# comment\n\nDESIGN x\nARCH ClosedM1\nCORE 2 20\nEND\n";
+        let txt = "VM1DEF 1\n# comment\n\nDESIGN x\nARCH ClosedM1\nCORE 2 20\nCOUNTS 0 0 0\nEND\n# trailing\n";
         let d = read_def(txt, &lib).unwrap();
         assert_eq!(d.name(), "x");
         assert_eq!(d.num_insts(), 0);
+    }
+
+    #[test]
+    fn lost_lines_fail_the_counts() {
+        // A file that lost whole NET lines but kept its END no longer
+        // matches its COUNTS line.
+        let (d, lib) = sample();
+        let text = write_def(&d);
+        let mut nets = 0;
+        let cut: String = text
+            .lines()
+            .filter(|l| {
+                nets += usize::from(l.starts_with("NET "));
+                !(l.starts_with("NET ") && nets % 2 == 0)
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let declared = [d.num_ports(), d.num_insts(), d.num_nets()];
+        let found = [d.num_ports(), d.num_insts(), d.num_nets().div_ceil(2)];
+        assert_eq!(
+            read_def(&cut, &lib).err(),
+            Some(ReadDefError::CountMismatch { declared, found })
+        );
+    }
+
+    #[test]
+    fn missing_or_misplaced_counts_rejected() {
+        let lib = Library::synthetic_7nm(CellArch::ClosedM1);
+        let no_counts = tiny("NET n0 P:a I:u0:A").replace("COUNTS 2 2 1\n", "");
+        assert!(matches!(
+            read_def(&no_counts, &lib),
+            Err(ReadDefError::Syntax(10, m)) if m.contains("COUNTS")
+        ));
+        let twice = tiny("COUNTS 2 2 1\nNET n0 P:a I:u0:A");
+        assert!(matches!(
+            read_def(&twice, &lib),
+            Err(ReadDefError::Syntax(10, m)) if m.contains("COUNTS")
+        ));
+        let early = "VM1DEF 1\nDESIGN x\nARCH ClosedM1\nCOUNTS 0 0 0\nCORE 2 20\nEND\n";
+        assert!(matches!(
+            read_def(early, &lib),
+            Err(ReadDefError::Syntax(4, m)) if m.contains("COUNTS")
+        ));
+    }
+
+    #[test]
+    fn line_after_end_rejected() {
+        // An INST line placed after END is an error, not part of the
+        // design.
+        let (d, lib) = sample();
+        let text = write_def(&d) + "INST late INV_X1 0 0 N PLACED\n";
+        let end = text.lines().count();
+        assert_eq!(
+            read_def(&text, &lib).err(),
+            Some(ReadDefError::Syntax(end, "line after END".into()))
+        );
     }
 }

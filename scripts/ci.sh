@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo clippy: bench targets (deny warnings) =="
+# --workspace --all-targets skips targets with required-features, so the
+# criterion benches behind vm1-bench's `bench` feature are linted here.
+cargo clippy -p vm1-bench --features bench --all-targets -- -D warnings
+
 echo "== cargo build --release =="
 cargo build --release
 
